@@ -3,16 +3,14 @@
 //! space. The arena's advantage grows with the number of configurations
 //! sharing one capture, so the benchmark sweeps the config count too.
 //!
-//! For the committed machine-readable comparison at the full budget, see
-//! `BENCH_sweep.json` (regenerate with `repro bench-sweep <path>`).
+//! The end-to-end and per-layer numbers of the whole pipeline come from
+//! `python3 perfbench/run.py`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tlc_area::AreaModel;
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, SimBudget};
-use tlc_core::runner::{
-    default_threads, sweep_arena_threads, sweep_dyn_threads, sweep_streaming_threads,
-};
+use tlc_core::runner::{default_threads, sweep_arena_threads, sweep_streaming_threads};
 use tlc_core::L2Policy;
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -37,11 +35,6 @@ fn bench_sweep_engines(c: &mut Criterion) {
         let instructions =
             (BUDGET.warmup_instructions + BUDGET.instructions) * configs.len() as u64;
         group.throughput(Throughput::Elements(instructions));
-        group.bench_function(BenchmarkId::new("legacy_dyn", configs.len()), |b| {
-            b.iter(|| {
-                sweep_dyn_threads(configs, SpecBenchmark::Espresso, BUDGET, &timing, &area, threads)
-            })
-        });
         group.bench_function(BenchmarkId::new("streaming", configs.len()), |b| {
             b.iter(|| {
                 sweep_streaming_threads(

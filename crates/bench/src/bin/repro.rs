@@ -9,7 +9,6 @@
 //! ```
 
 use tlc_bench::figures::{run, ALL_IDS};
-use tlc_bench::sweepbench::{sweep_benchmark_json, SweepBenchConfig};
 use tlc_bench::Harness;
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, SimBudget};
@@ -23,12 +22,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--instr N] [--warmup N] [--metrics out.json] [--list] <exhibit ids | all>\n\
        \u{20}      repro [--quick|--instr N] csv <output-dir>\n\
-       \u{20}      repro [--quick|--instr N] bench-sweep <output.json>\n\
          exhibits: {}\n\
          csv: writes the full design-space scatter (50ns & 200ns, conventional &\n\
-       \u{20}     exclusive) for every workload as CSV files for external plotting\n\
-         bench-sweep: times the streaming vs arena sweep engines over the full\n\
-       \u{20}     space and writes a machine-readable comparison",
+       \u{20}     exclusive) for every workload as CSV files for external plotting",
         ALL_IDS.join(" ")
     );
     std::process::exit(2);
@@ -87,16 +83,12 @@ fn main() {
     let mut budget = SimBudget::standard();
     let mut ids: Vec<String> = Vec::new();
     let mut csv_dir: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "csv" => {
                 csv_dir = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            "bench-sweep" => {
-                bench_out = Some(it.next().unwrap_or_else(|| usage()));
             }
             "--metrics" => {
                 metrics_path = Some(it.next().unwrap_or_else(|| usage()));
@@ -121,22 +113,11 @@ fn main() {
             _ => usage(),
         }
     }
-    if ids.is_empty() && csv_dir.is_none() && bench_out.is_none() {
+    if ids.is_empty() && csv_dir.is_none() {
         usage();
     }
 
     let harness = Harness::standard().with_budget(budget);
-    if let Some(path) = bench_out {
-        let json = sweep_benchmark_json(&SweepBenchConfig::from_harness(&harness));
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("bench-sweep export failed: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("# wrote {path}");
-        if ids.is_empty() && csv_dir.is_none() {
-            return;
-        }
-    }
     if let Some(dir) = csv_dir {
         if let Err(e) = dump_csv(std::path::Path::new(&dir), &harness) {
             eprintln!("csv export failed: {e}");

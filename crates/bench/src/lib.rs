@@ -21,6 +21,5 @@
 
 pub mod figures;
 pub mod harness;
-pub mod sweepbench;
 
 pub use harness::Harness;

@@ -22,15 +22,17 @@
 //! ([`VictimLine::written`](tlc_trace::VictimLine)); the exclusive
 //! back-end reconstructs the exact dirty bit with a per-L1-set mirror of
 //! "was the current resident filled from a dirty L2 line" — see
-//! [`replay_exclusive`]. The conventional and single-level hierarchies
-//! fill the L1 with `is_write` only, so for them the recorded bit *is*
-//! the dirty bit.
+//! [`L2Family::exclusive`](crate::filter_family::L2Family::exclusive).
+//! The conventional and single-level hierarchies fill the L1 with
+//! `is_write` only, so for them the recorded bit *is* the dirty bit.
 //!
-//! The L2's replacement state (including its pseudo-random LFSR) is
-//! driven by exactly the same call sequence as in the monolithic
-//! hierarchies, so every statistic is bit-identical — the equivalence
-//! suite in `tests/arena_equivalence.rs` pins all three back-ends to the
-//! arena engine across every benchmark.
+//! This module owns the L1 side (the capture) and the event walk; the L2
+//! back-ends live in [`filter_family`](crate::filter_family). Their
+//! replacement state (including the pseudo-random LFSR) is driven by
+//! exactly the same call sequence as in the monolithic hierarchies, so
+//! every statistic is bit-identical — the equivalence suite in
+//! `tests/arena_equivalence.rs` pins them to the arena engine across
+//! every benchmark.
 
 use crate::cache::{Cache, Liveness};
 use crate::config::CacheConfig;
@@ -320,17 +322,15 @@ impl MissStream {
         self.events.iter()
     }
 
-    /// L1 sets per side (for the exclusive back-end's fill-dirty mirror;
-    /// shared with the family-batched back-ends in
-    /// [`filter_family`](crate::filter_family)).
+    /// L1 sets per side (for the exclusive back-end's fill-dirty mirror
+    /// in [`filter_family`](crate::filter_family)).
     pub(crate) fn l1_sets(&self) -> usize {
         (self.l1_size_bytes / self.line_bytes) as usize
     }
 }
 
-/// Anything that can consume a decoded event stream: the scalar back-ends
-/// below and the family-batched back-ends in
-/// [`filter_family`](crate::filter_family).
+/// Anything that can consume a decoded event stream: the family
+/// back-ends in [`filter_family`](crate::filter_family).
 pub(crate) trait EventSink {
     /// Consumes one event. `fetch` is true for instruction-fetch misses;
     /// `victim` carries the displaced line and its store-only written bit.
@@ -338,14 +338,6 @@ pub(crate) trait EventSink {
 
     /// Clears the counters at the warm-up boundary (L2 contents persist).
     fn reset_counters(&mut self);
-}
-
-/// One scalar L2 back-end: an [`EventSink`] that can report the three
-/// L2-side counters.
-trait BackEnd: EventSink {
-    /// `(l2_hits, l2_misses, offchip_writebacks)` accumulated since the
-    /// last reset.
-    fn counters(&self) -> (u64, u64, u64);
 }
 
 /// Walks the packed event stream through `sink`, resetting its counters
@@ -379,21 +371,11 @@ pub(crate) fn walk_events<S: EventSink>(sink: &mut S, stream: &MissStream) {
     }
 }
 
-/// Walks the stream through `back` and assembles the final statistics
-/// from the stream's L1-side counters plus the back-end's measured L2
-/// counters.
-fn replay_on<B: BackEnd>(back: &mut B, stream: &MissStream) -> HierarchyStats {
-    walk_events(back, stream);
-    let (l2_hits, l2_misses, offchip_writebacks) = back.counters();
-    HierarchyStats { l2_hits, l2_misses, offchip_writebacks, ..*stream.l1_stats() }
-}
-
 /// Flushes one replay pass's L2-side totals to the global counters.
-/// `stats` carries the measured-window hit/miss/writeback counts;
-/// `draws`/`swaps`/`live` are lifetime totals (warm-up included — the
-/// LFSR, the swap path, and the fill-generation tallies are never
-/// reset), matching the family engines so the two report identical sums
-/// on identical configs.
+/// `stats` carries the measured-window hit/miss/writeback counts summed
+/// over the pass's members; `draws`/`swaps`/`live` are lifetime totals
+/// (warm-up included — the LFSR, the swap path, and the fill-generation
+/// tallies are never reset).
 pub(crate) fn flush_l2_counters(
     events: u64,
     stats: &HierarchyStats,
@@ -434,245 +416,12 @@ fn replay_event_chunk<B: EventSink>(
     }
 }
 
-/// Back-end for [`SingleLevel`](crate::SingleLevel): every L1 miss is an
-/// off-chip demand fetch; a written victim is an off-chip writeback.
-#[derive(Debug, Default)]
-struct SingleBack {
-    l2_misses: u64,
-    offchip_writebacks: u64,
-}
-
-impl EventSink for SingleBack {
-    #[inline]
-    fn consume(&mut self, _fetch: bool, _line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        self.l2_misses += 1;
-        if let Some((_, written)) = victim {
-            if written {
-                self.offchip_writebacks += 1;
-            }
-        }
-    }
-
-    fn reset_counters(&mut self) {
-        self.l2_misses = 0;
-        self.offchip_writebacks = 0;
-    }
-}
-
-impl BackEnd for SingleBack {
-    fn counters(&self) -> (u64, u64, u64) {
-        (0, self.l2_misses, self.offchip_writebacks)
-    }
-}
-
-/// Back-end for [`ConventionalTwoLevel`](crate::ConventionalTwoLevel):
-/// the same L2 call sequence as the monolithic hierarchy's miss path.
-#[derive(Debug)]
-struct ConventionalBack {
-    l2: Cache,
-    l2_hits: u64,
-    l2_misses: u64,
-    offchip_writebacks: u64,
-}
-
-impl EventSink for ConventionalBack {
-    #[inline]
-    fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        if self.l2.access(line, false) {
-            self.l2_hits += 1;
-        } else {
-            self.l2_misses += 1;
-            if let Some(v2) = self.l2.fill_after_miss(line, false) {
-                if v2.dirty {
-                    self.offchip_writebacks += 1;
-                }
-            }
-        }
-        // The L1 fill happens after the L2 interaction in the monolithic
-        // hierarchy; only its dirty victim touches the L2 (store-only
-        // dirty is exact for the conventional L1).
-        if let Some((vline, written)) = victim {
-            if written && !self.l2.merge_if_present(vline, true) {
-                self.offchip_writebacks += 1;
-            }
-        }
-    }
-
-    fn reset_counters(&mut self) {
-        self.l2_hits = 0;
-        self.l2_misses = 0;
-        self.offchip_writebacks = 0;
-    }
-}
-
-impl BackEnd for ConventionalBack {
-    fn counters(&self) -> (u64, u64, u64) {
-        (self.l2_hits, self.l2_misses, self.offchip_writebacks)
-    }
-}
-
-/// Back-end for [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel).
-///
-/// The one L2-dependent bit of L1 state is reconstructed here: when an
-/// L1-miss/L2-hit fills the L1, the monolithic hierarchy marks the L1
-/// line dirty if the extracted L2 copy was dirty. The back-end keeps a
-/// per-L1-set mirror (one bool per set per side, the L1 being
-/// direct-mapped) of exactly that bit for the *current* resident; a
-/// victim's true dirty bit is then `written || mirror[set]`, read before
-/// the new fill overwrites the mirror entry (victim and filled line share
-/// the set by construction).
-#[derive(Debug)]
-struct ExclusiveBack {
-    l2: Cache,
-    /// "Current resident was filled from a dirty L2 extract", per L1I set.
-    mirror_i: Vec<bool>,
-    /// Same, per L1D set.
-    mirror_d: Vec<bool>,
-    l1_set_mask: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    offchip_writebacks: u64,
-    /// Lifetime fig-21a swap count (instrumented builds only).
-    swaps: u64,
-}
-
-impl ExclusiveBack {
-    /// Mirror of
-    /// [`ExclusiveTwoLevel::send_victim_to_l2`](crate::ExclusiveTwoLevel)
-    /// with no freed slot: merge into an existing copy, else insert into
-    /// the victim's own set, counting a dirty L2 eviction off-chip.
-    #[inline]
-    fn send_victim(&mut self, vline: LineAddr, vdirty: bool) {
-        if self.l2.merge_if_present(vline, vdirty) {
-            return;
-        }
-        if let Some(ev) = self.l2.fill_after_miss(vline, vdirty) {
-            if ev.dirty {
-                self.offchip_writebacks += 1;
-            }
-        }
-    }
-}
-
-impl EventSink for ExclusiveBack {
-    #[inline]
-    fn consume(&mut self, fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let set = (line.0 & self.l1_set_mask) as usize;
-        let mirror = if fetch { &mut self.mirror_i } else { &mut self.mirror_d };
-        // Read the victim's fill-dirty component BEFORE the new fill
-        // overwrites the set's mirror entry.
-        let victim = victim.map(|(vline, written)| (vline, written || mirror[set]));
-        if self.l2.access(line, false) {
-            self.l2_hits += 1;
-            let (dirty, slot) =
-                self.l2.extract(line).expect("L2 hit implies the line is extractable");
-            mirror[set] = dirty;
-            match victim {
-                Some((vline, vdirty)) => {
-                    if self.l2.set_index(vline) == slot.set && !self.l2.contains(vline) {
-                        // Figure 21-a swap: the victim takes the requested
-                        // line's way; the displaced line is the requested
-                        // line itself, already in L1.
-                        if tlc_obs::ENABLED {
-                            self.swaps += 1;
-                        }
-                        self.l2.fill_at(vline, vdirty, slot);
-                    } else {
-                        self.l2.fill_at(line, dirty, slot);
-                        self.send_victim(vline, vdirty);
-                    }
-                }
-                None => {
-                    self.l2.fill_at(line, dirty, slot);
-                }
-            }
-        } else {
-            self.l2_misses += 1;
-            // Off-chip refill bypasses the L2 and fills the L1 with the
-            // store-only dirty bit: no fill-dirty component.
-            mirror[set] = false;
-            if let Some((vline, vdirty)) = victim {
-                self.send_victim(vline, vdirty);
-            }
-        }
-    }
-
-    fn reset_counters(&mut self) {
-        self.l2_hits = 0;
-        self.l2_misses = 0;
-        self.offchip_writebacks = 0;
-    }
-}
-
-impl BackEnd for ExclusiveBack {
-    fn counters(&self) -> (u64, u64, u64) {
-        (self.l2_hits, self.l2_misses, self.offchip_writebacks)
-    }
-}
-
-/// Replays `stream` as a [`SingleLevel`](crate::SingleLevel) hierarchy
-/// would experience it. Bit-identical to simulating the monolithic
-/// system on the original reference stream.
-pub fn replay_single(stream: &MissStream) -> HierarchyStats {
-    let stats = replay_on(&mut SingleBack::default(), stream);
-    // No L2 exists here: the pass contributes replayed events and
-    // off-chip writebacks, but no probes (`l2.probes` counts real L2
-    // lookups only, keeping the hits+misses invariant meaningful).
-    tlc_obs::obs_count!(tlc_obs::Counter::L2EventsReplayed, stream.len());
-    tlc_obs::obs_count!(tlc_obs::Counter::L2Writebacks, stats.offchip_writebacks);
-    stats
-}
-
-/// Replays `stream` through a conventional L2, producing the exact
-/// statistics [`ConventionalTwoLevel`](crate::ConventionalTwoLevel)
-/// would report on the original reference stream.
-///
-/// # Panics
-///
-/// Panics if `l2_cfg`'s line size differs from the stream's.
-pub fn replay_conventional(l2_cfg: CacheConfig, stream: &MissStream) -> HierarchyStats {
-    assert_eq!(l2_cfg.line_bytes(), stream.line_bytes(), "L1 and L2 must share a line size");
-    let mut back = ConventionalBack {
-        l2: Cache::new(l2_cfg),
-        l2_hits: 0,
-        l2_misses: 0,
-        offchip_writebacks: 0,
-    };
-    let stats = replay_on(&mut back, stream);
-    flush_l2_counters(stream.len(), &stats, back.l2.lfsr_draws(), 0, back.l2.liveness());
-    stats
-}
-
-/// Replays `stream` through an exclusive (victim-swap) L2, producing the
-/// exact statistics [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)
-/// would report on the original reference stream.
-///
-/// # Panics
-///
-/// Panics if `l2_cfg`'s line size differs from the stream's.
-pub fn replay_exclusive(l2_cfg: CacheConfig, stream: &MissStream) -> HierarchyStats {
-    assert_eq!(l2_cfg.line_bytes(), stream.line_bytes(), "L1 and L2 must share a line size");
-    let sets = stream.l1_sets();
-    let mut back = ExclusiveBack {
-        l2: Cache::new(l2_cfg),
-        mirror_i: vec![false; sets],
-        mirror_d: vec![false; sets],
-        l1_set_mask: sets as u64 - 1,
-        l2_hits: 0,
-        l2_misses: 0,
-        offchip_writebacks: 0,
-        swaps: 0,
-    };
-    let stats = replay_on(&mut back, stream);
-    flush_l2_counters(stream.len(), &stats, back.l2.lfsr_draws(), back.swaps, back.l2.liveness());
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Associativity, ReplacementKind};
     use crate::exclusive::ExclusiveTwoLevel;
+    use crate::filter_family::L2Family;
     use crate::single::SingleLevel;
     use crate::twolevel::ConventionalTwoLevel;
     use tlc_trace::spec::SpecBenchmark;
@@ -702,6 +451,19 @@ mod tests {
         fe.finish(b.name())
     }
 
+    // One-member families: the per-configuration replay of a stream.
+    fn single_member(stream: &MissStream) -> HierarchyStats {
+        L2Family::single(stream).replay(stream)[0]
+    }
+
+    fn conventional_member(l2: CacheConfig, stream: &MissStream) -> HierarchyStats {
+        L2Family::conventional(&[l2], stream).replay(stream)[0]
+    }
+
+    fn exclusive_member(l2: CacheConfig, stream: &MissStream) -> HierarchyStats {
+        L2Family::exclusive(&[l2], stream).replay(stream)[0]
+    }
+
     /// Drives the same window through a monolithic system.
     fn reference<M: MemorySystem>(b: SpecBenchmark, sys: &mut M, warm: u64, n: u64) {
         let mut w = b.workload();
@@ -720,7 +482,7 @@ mod tests {
             let stream = capture(b, 1024, 2_000, 8_000);
             let mut sys = SingleLevel::new(l1_cfg(1024));
             reference(b, &mut sys, 2_000, 8_000);
-            assert_eq!(replay_single(&stream), *sys.stats(), "{}", b.name());
+            assert_eq!(single_member(&stream), *sys.stats(), "{}", b.name());
         }
     }
 
@@ -731,7 +493,7 @@ mod tests {
             let mut sys = ConventionalTwoLevel::new(l1_cfg(l1), l2_cfg(l2, ways));
             reference(SpecBenchmark::Gcc1, &mut sys, 2_000, 8_000);
             assert_eq!(
-                replay_conventional(l2_cfg(l2, ways), &stream),
+                conventional_member(l2_cfg(l2, ways), &stream),
                 *sys.stats(),
                 "l1={l1} l2={l2} ways={ways}"
             );
@@ -745,7 +507,7 @@ mod tests {
             let mut sys = ExclusiveTwoLevel::new(l1_cfg(l1), l2_cfg(l2, ways));
             reference(SpecBenchmark::Li, &mut sys, 2_000, 8_000);
             assert_eq!(
-                replay_exclusive(l2_cfg(l2, ways), &stream),
+                exclusive_member(l2_cfg(l2, ways), &stream),
                 *sys.stats(),
                 "l1={l1} l2={l2} ways={ways}"
             );
@@ -758,7 +520,7 @@ mod tests {
         for l2 in [2048u64, 8192, 32768] {
             let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), l2_cfg(l2, 4));
             reference(SpecBenchmark::Espresso, &mut sys, 1_000, 5_000);
-            assert_eq!(replay_conventional(l2_cfg(l2, 4), &stream), *sys.stats(), "l2={l2}");
+            assert_eq!(conventional_member(l2_cfg(l2, 4), &stream), *sys.stats(), "l2={l2}");
         }
     }
 
@@ -785,7 +547,7 @@ mod tests {
             sys.access(*r);
         }
         let stream = fe.finish("pingpong");
-        let got = replay_exclusive(l2, &stream);
+        let got = exclusive_member(l2, &stream);
         assert_eq!(got, *sys.stats());
         assert!(got.offchip_writebacks >= 1, "the dirty line must eventually go off-chip");
     }
@@ -795,7 +557,7 @@ mod tests {
         let stream = capture(SpecBenchmark::Fpppp, 1024, 3_000, 3_000);
         let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), l2_cfg(8192, 4));
         reference(SpecBenchmark::Fpppp, &mut sys, 3_000, 3_000);
-        let got = replay_conventional(l2_cfg(8192, 4), &stream);
+        let got = conventional_member(l2_cfg(8192, 4), &stream);
         assert_eq!(got, *sys.stats());
         assert_eq!(got.instructions, 3_000);
     }
@@ -812,9 +574,9 @@ mod tests {
         fe.reset_stats();
         let stream = fe.finish("li");
         assert_eq!(stream.warmup_events(), stream.len());
-        assert_eq!(replay_single(&stream), HierarchyStats::default());
-        assert_eq!(replay_conventional(l2_cfg(4096, 4), &stream), HierarchyStats::default());
-        assert_eq!(replay_exclusive(l2_cfg(4096, 4), &stream), HierarchyStats::default());
+        assert_eq!(single_member(&stream), HierarchyStats::default());
+        assert_eq!(conventional_member(l2_cfg(4096, 4), &stream), HierarchyStats::default());
+        assert_eq!(exclusive_member(l2_cfg(4096, 4), &stream), HierarchyStats::default());
     }
 
     #[test]

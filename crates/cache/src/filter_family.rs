@@ -3,17 +3,16 @@
 //!
 //! The design spaces of the paper vary, for a fixed L1, only the L2
 //! *capacity* (§2.1: L2 from 2×L1 up to 256KB, same 16B lines, same
-//! associativity). The scalar back-ends in [`filter`](crate::filter)
-//! already replay only the L1 miss events, but they still decode the
-//! packed 17-byte events once per configuration. Here one decode of each
-//! event fans into N structure-of-arrays L2 states — per-configuration
-//! slot arrays, counters, a per-member replacement bank
-//! ([`ReplBank`](crate::cache)) holding the policy words (LRU/FIFO
-//! stamps, PLRU tree bits, SRRIP RRPVs) alongside the `(line<<1)|dirty`
-//! slot words, and crucially a **per-configuration [`Lfsr16`]**, so
-//! pseudo-random replacement draws happen in exactly the order the
-//! standalone back-end would make them and every statistic stays
-//! bit-identical.
+//! associativity). [`L2Family`] decodes each packed 17-byte event of a
+//! captured [`MissStream`] once and fans it into N structure-of-arrays L2
+//! states — per-configuration slot arrays, counters, a per-member
+//! replacement bank (`ReplBank`) holding the policy words
+//! (LRU/FIFO stamps, PLRU tree bits, SRRIP RRPVs) alongside the
+//! `(line<<1)|dirty` slot words, and crucially a **per-configuration
+//! [`Lfsr16`]**, so pseudo-random replacement draws happen in exactly the
+//! order a standalone L2 would make them and every statistic stays
+//! bit-identical to the monolithic hierarchies. A family of one member is
+//! the per-configuration replay; there is no separate scalar back-end.
 //!
 //! ## Why batching preserves the bit-exact contract
 //!
@@ -42,25 +41,22 @@
 //! accumulate into per-threshold histograms instead of per-member
 //! counters — see `DmConventionalFamily` for the invariant. Replacement
 //! policy is irrelevant at one way per set, so the fast path serves every
-//! [`ReplacementKind`].
+//! [`ReplacementKind`](crate::ReplacementKind).
 //!
-//! ## Errors instead of panics
+//! ## Segments
 //!
-//! An unsupported family shape surfaces as a typed [`FamilyError`] from
-//! the `try_replay_*` entry points; the plain `replay_*` wrappers keep
-//! the old panicking contract for callers that validate up front. Sweep
-//! workers use the `try_` forms and fall back to scalar filtered replay,
-//! so no configuration can panic a worker thread.
+//! A family walks one or more [`MissStream`] segments through **one**
+//! persistent set of L2 states: segment `k` starts from the (stale)
+//! contents segment `k-1` left behind, and each segment's warm-up prefix
+//! refreshes that state before the counters reset at the segment's own
+//! warm-up boundary. This is the L2 half of stitched warming for sampled
+//! sweeps; a whole stream is simply a family's only segment.
 
-use crate::cache::{Liveness, ReplBank};
+use crate::cache::{LiveTally, Liveness, ReplBank};
 use crate::config::CacheConfig;
-#[cfg(test)]
-use crate::config::ReplacementKind;
-use crate::filter::{replay_single, walk_events, EventSink, MissStream};
+use crate::filter::{flush_l2_counters, walk_events, EventSink, MissStream};
 use crate::replacement::Lfsr16;
 use crate::stats::HierarchyStats;
-use std::error::Error;
-use std::fmt;
 use tlc_trace::LineAddr;
 
 /// Slot encoding: `(line << 1) | dirty`, with `u64::MAX` as the invalid
@@ -68,49 +64,6 @@ use tlc_trace::LineAddr;
 /// line address (lines are byte addresses divided by the line size), so
 /// a single shifted compare tests "valid and tag matches".
 const INVALID: u64 = u64::MAX;
-
-/// Why a configuration family cannot be batch-replayed.
-///
-/// Returned by the `try_replay_*` entry points; the panicking `replay_*`
-/// wrappers turn these into messages. Callers (the sweep runner) treat an
-/// error as "replay each member through the scalar back-end instead" —
-/// the statistics are identical either way, only the batching is lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FamilyError {
-    /// A member's line size differs from the stream's; the events would
-    /// be misinterpreted.
-    LineSize {
-        /// The member's line size in bytes.
-        member: u64,
-        /// The stream's line size in bytes.
-        stream: u64,
-    },
-    /// Members disagree on associativity; the batched set scans
-    /// monomorphise on a single way count.
-    MixedWays {
-        /// The first member's way count.
-        first: u32,
-        /// The disagreeing member's way count.
-        other: u32,
-    },
-}
-
-impl fmt::Display for FamilyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FamilyError::LineSize { member, stream } => write!(
-                f,
-                "family member line size {member}B differs from the stream's {stream}B \
-                 (L1 and L2 must share a line size)"
-            ),
-            FamilyError::MixedWays { first, other } => {
-                write!(f, "family members disagree on associativity ({first} vs {other} ways)")
-            }
-        }
-    }
-}
-
-impl Error for FamilyError {}
 
 /// One member's L2 array plus its private replacement bank, counters,
 /// liveness tallies, and LFSR.
@@ -143,7 +96,7 @@ struct L2State {
     hit_counts: Vec<u8>,
     /// Departed fill-generation tallies (see
     /// [`Liveness`](crate::Liveness)); lifetime, like `lfsr_draws`.
-    live: crate::cache::LiveTally,
+    live: LiveTally,
 }
 
 impl L2State {
@@ -160,7 +113,7 @@ impl L2State {
             lfsr_draws: 0,
             swaps: 0,
             hit_counts: if tlc_obs::ENABLED { vec![0; lines] } else { Vec::new() },
-            live: crate::cache::LiveTally::default(),
+            live: LiveTally::default(),
         }
     }
 
@@ -246,51 +199,30 @@ impl L2State {
     }
 }
 
-/// Shared geometry of a family: the associativity every member agrees on
-/// (validated by [`FamilyWays::try_of`]).
-#[derive(Debug, Clone, Copy)]
-struct FamilyWays {
-    ways: usize,
-}
-
-impl FamilyWays {
-    /// Validates that every member shares the stream's line size and one
-    /// associativity. Replacement policies may differ per member — each
-    /// member carries its own [`ReplBank`].
-    fn try_of(l2_cfgs: &[CacheConfig], stream: &MissStream) -> Result<FamilyWays, FamilyError> {
-        let ways = l2_cfgs[0].ways();
-        for cfg in l2_cfgs {
-            if cfg.line_bytes() != stream.line_bytes() {
-                return Err(FamilyError::LineSize {
-                    member: cfg.line_bytes(),
-                    stream: stream.line_bytes(),
-                });
-            }
-            if cfg.ways() != ways {
-                return Err(FamilyError::MixedWays { first: ways, other: cfg.ways() });
-            }
-        }
-        Ok(FamilyWays { ways: ways as usize })
-    }
-}
-
-/// Batched conventional back-end: the family counterpart of
-/// `filter::ConventionalBack`, one [`L2State`] per member.
+/// Batched conventional back-end, one [`L2State`] per member: the same
+/// L2 call sequence as
+/// [`ConventionalTwoLevel`](crate::ConventionalTwoLevel)'s miss path.
 ///
 /// `W` is the compile-time associativity — the hot set scans unroll for
 /// the common widths (2/4/8-way); `W = 0` selects the dynamic fallback
-/// that reads the width from [`FamilyWays`] at run time.
+/// that reads the width from `ways` at run time.
 #[derive(Debug)]
 struct ConventionalFamily<const W: usize> {
     states: Vec<L2State>,
-    fw: FamilyWays,
+    ways: usize,
+}
+
+impl<const W: usize> ConventionalFamily<W> {
+    fn new(l2_cfgs: &[CacheConfig], ways: usize) -> Self {
+        ConventionalFamily { states: l2_cfgs.iter().map(L2State::new).collect(), ways }
+    }
 }
 
 impl<const W: usize> EventSink for ConventionalFamily<W> {
     #[inline]
     fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
         let l = line.0;
-        let ways = if W == 0 { self.fw.ways } else { W };
+        let ways = if W == 0 { self.ways } else { W };
         for st in &mut self.states {
             let set = (l & st.set_mask) as usize;
             let base = set * ways;
@@ -323,11 +255,19 @@ impl<const W: usize> EventSink for ConventionalFamily<W> {
     }
 }
 
-/// Batched exclusive back-end: the family counterpart of
-/// `filter::ExclusiveBack`. The per-L1-set fill-dirty mirror is carried
-/// **per member**: a mirror entry records whether the member's own L2
-/// extract was dirty, which depends on that member's capacity (see the
-/// module docs).
+/// Batched exclusive back-end: the same L2 call sequence as
+/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)'s miss path.
+///
+/// The one L2-dependent bit of L1 state is reconstructed here: when an
+/// L1-miss/L2-hit fills the L1, the monolithic hierarchy marks the L1
+/// line dirty if the extracted L2 copy was dirty. Each member keeps a
+/// per-L1-set mirror (one bool per set per side, the L1 being
+/// direct-mapped) of exactly that bit for the *current* resident; a
+/// victim's true dirty bit is then `written || mirror[set]`, read before
+/// the new fill overwrites the mirror entry (victim and filled line share
+/// the set by construction). The mirror is carried **per member**: its
+/// entries come out of the member's own L2 extracts, whose dirty bits
+/// depend on that member's capacity (see the module docs).
 #[derive(Debug)]
 struct ExclusiveFamilyMember {
     l2: L2State,
@@ -340,15 +280,32 @@ struct ExclusiveFamilyMember {
 #[derive(Debug)]
 struct ExclusiveFamily<const W: usize> {
     members: Vec<ExclusiveFamilyMember>,
-    fw: FamilyWays,
+    ways: usize,
     l1_set_mask: u64,
+}
+
+impl<const W: usize> ExclusiveFamily<W> {
+    fn new(l2_cfgs: &[CacheConfig], ways: usize, l1_sets: usize) -> Self {
+        ExclusiveFamily {
+            members: l2_cfgs
+                .iter()
+                .map(|cfg| ExclusiveFamilyMember {
+                    l2: L2State::new(cfg),
+                    mirror_i: vec![false; l1_sets],
+                    mirror_d: vec![false; l1_sets],
+                })
+                .collect(),
+            ways,
+            l1_set_mask: l1_sets as u64 - 1,
+        }
+    }
 }
 
 impl<const W: usize> EventSink for ExclusiveFamily<W> {
     #[inline]
     fn consume(&mut self, fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
         let l = line.0;
-        let ways = if W == 0 { self.fw.ways } else { W };
+        let ways = if W == 0 { self.ways } else { W };
         let set = (l & self.l1_set_mask) as usize;
         for m in &mut self.members {
             let mirror = if fetch { &mut m.mirror_i } else { &mut m.mirror_d };
@@ -453,6 +410,8 @@ struct DmConventionalFamily {
     /// Per size (ascending): one slot per set.
     slots: Vec<Vec<u64>>,
     set_masks: Vec<u64>,
+    /// `order[k]`: the input index of the `k`-th smallest member.
+    order: Vec<usize>,
     /// `hit_hist[t]`: events whose smallest hitting size index is `t`.
     hit_hist: Vec<u64>,
     /// `vic_hist[t]`: written victims whose smallest resident size is `t`.
@@ -463,24 +422,30 @@ struct DmConventionalFamily {
     /// (instrumented builds only; empty otherwise).
     hit_counts: Vec<Vec<u8>>,
     /// Per size: departed fill-generation tallies.
-    live: Vec<crate::cache::LiveTally>,
+    live: Vec<LiveTally>,
 }
 
 impl DmConventionalFamily {
-    fn new(cfgs_ascending: &[&CacheConfig]) -> Self {
-        let k = cfgs_ascending.len();
+    fn new(l2_cfgs: &[CacheConfig]) -> Self {
+        // Sort members by capacity (stably, so duplicates keep their
+        // relative order); `counters` scatters back to input order.
+        let mut order: Vec<usize> = (0..l2_cfgs.len()).collect();
+        order.sort_by_key(|&i| l2_cfgs[i].size_bytes());
+        let sets: Vec<u64> = order.iter().map(|&i| l2_cfgs[i].num_sets()).collect();
+        let k = sets.len();
         DmConventionalFamily {
-            slots: cfgs_ascending.iter().map(|c| vec![INVALID; c.num_sets() as usize]).collect(),
-            set_masks: cfgs_ascending.iter().map(|c| c.num_sets() - 1).collect(),
+            slots: sets.iter().map(|&n| vec![INVALID; n as usize]).collect(),
+            set_masks: sets.iter().map(|&n| n - 1).collect(),
+            order,
             hit_hist: vec![0; k + 1],
             vic_hist: vec![0; k + 1],
             evict_wb: vec![0; k],
             hit_counts: if tlc_obs::ENABLED {
-                cfgs_ascending.iter().map(|c| vec![0; c.num_sets() as usize]).collect()
+                sets.iter().map(|&n| vec![0; n as usize]).collect()
             } else {
                 Vec::new()
             },
-            live: vec![crate::cache::LiveTally::default(); k],
+            live: vec![LiveTally::default(); k],
         }
     }
 
@@ -495,20 +460,20 @@ impl DmConventionalFamily {
         self.set_masks.len()
     }
 
-    /// Per-member `(l2_hits, l2_misses, offchip_writebacks)` in ascending
-    /// size order.
+    /// Per-member `(l2_hits, l2_misses, offchip_writebacks)` in input
+    /// order, by prefix sums over the threshold histograms.
     fn counters(&self) -> Vec<(u64, u64, u64)> {
         let total_hits: u64 = self.hit_hist.iter().sum();
         let total_vics: u64 = self.vic_hist.iter().sum();
         let mut hits = 0u64;
         let mut vics = 0u64;
-        (0..self.set_masks.len())
-            .map(|k| {
-                hits += self.hit_hist[k];
-                vics += self.vic_hist[k];
-                (hits, total_hits - hits, self.evict_wb[k] + (total_vics - vics))
-            })
-            .collect()
+        let mut out = vec![(0, 0, 0); self.order.len()];
+        for (k, &i) in self.order.iter().enumerate() {
+            hits += self.hit_hist[k];
+            vics += self.vic_hist[k];
+            out[i] = (hits, total_hits - hits, self.evict_wb[k] + (total_vics - vics));
+        }
+        out
     }
 
     /// Family-total liveness: each member's tallies snapshotted over its
@@ -583,456 +548,260 @@ impl EventSink for DmConventionalFamily {
     }
 }
 
-/// Assembles one member's [`HierarchyStats`] from its three L2 counters
-/// plus the stream's L1-side counters.
-fn assemble(
-    stream: &MissStream,
-    (l2_hits, l2_misses, offchip_writebacks): (u64, u64, u64),
-) -> HierarchyStats {
-    HierarchyStats { l2_hits, l2_misses, offchip_writebacks, ..*stream.l1_stats() }
+/// The single-level back-end for [`SingleLevel`](crate::SingleLevel):
+/// every L1 miss is an off-chip demand fetch; a written victim is an
+/// off-chip writeback. There is no L2 state, so one sink serves every
+/// member of a single-level family.
+#[derive(Debug, Default)]
+struct SingleBack {
+    misses: u64,
+    writebacks: u64,
 }
 
-/// Flushes one family pass's totals: the stream was decoded once
-/// (`l2.events_replayed` counts passes × events, exposing the family
-/// engine's fan-in), while probes/hits/misses/writebacks/liveness sum
-/// over the members — matching the scalar filtered engine's totals on
-/// the same configurations, since the per-member statistics are
-/// bit-identical.
-fn flush_family(
-    stream: &MissStream,
-    out: &[HierarchyStats],
-    draws: u64,
-    swaps: u64,
-    live: Liveness,
-) {
-    if !tlc_obs::ENABLED {
-        return;
-    }
-    let totals = HierarchyStats {
-        l2_hits: out.iter().map(|s| s.l2_hits).sum(),
-        l2_misses: out.iter().map(|s| s.l2_misses).sum(),
-        offchip_writebacks: out.iter().map(|s| s.offchip_writebacks).sum(),
-        ..HierarchyStats::default()
-    };
-    crate::filter::flush_l2_counters(stream.len(), &totals, draws, swaps, live);
-}
-
-/// Replays `stream` once through a whole family of conventional L2s,
-/// returning one [`HierarchyStats`] per member of `l2_cfgs`, in input
-/// order — each bit-identical to
-/// [`replay_conventional`](crate::filter::replay_conventional) on the
-/// same configuration.
-///
-/// A family of direct-mapped members takes the threshold/histogram fast
-/// path (`DmConventionalFamily`); any other associativity takes the
-/// generic batched loop. Every [`ReplacementKind`] is supported, and
-/// members may mix policies.
-///
-/// # Errors
-///
-/// [`FamilyError`] if any member's line size differs from the stream's
-/// or members disagree on associativity.
-pub fn try_replay_conventional_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Result<Vec<HierarchyStats>, FamilyError> {
-    if l2_cfgs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let fw = FamilyWays::try_of(l2_cfgs, stream)?;
-    if fw.ways == 1 {
-        // Sort members by capacity (stably, so duplicates keep their
-        // relative order) and scatter the ascending-order counters back.
-        let mut order: Vec<usize> = (0..l2_cfgs.len()).collect();
-        order.sort_by_key(|&i| l2_cfgs[i].size_bytes());
-        let ascending: Vec<&CacheConfig> = order.iter().map(|&i| &l2_cfgs[i]).collect();
-        let mut fam = DmConventionalFamily::new(&ascending);
-        walk_events(&mut fam, stream);
-        let counters = fam.counters();
-        let mut out = vec![HierarchyStats::default(); l2_cfgs.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = assemble(stream, counters[k]);
+impl EventSink for SingleBack {
+    #[inline]
+    fn consume(&mut self, _fetch: bool, _line: LineAddr, victim: Option<(LineAddr, bool)>) {
+        self.misses += 1;
+        if let Some((_, true)) = victim {
+            self.writebacks += 1;
         }
+    }
+
+    fn reset_counters(&mut self) {
+        self.misses = 0;
+        self.writebacks = 0;
+    }
+}
+
+/// One family's back-end behind the per-segment interface
+/// [`L2Family`] drives. Each implementation monomorphises its own event
+/// walk, so dispatch is dynamic once per segment, never per event.
+trait Family: EventSink + std::fmt::Debug {
+    /// Walks one segment from the current L2 state, returning each
+    /// member's `(l2_hits, l2_misses, offchip_writebacks)` counted since
+    /// the segment's warm-up boundary, in input order.
+    fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)>;
+
+    /// Lifetime `(lfsr_draws, swaps, liveness)` summed over the members,
+    /// or `None` when there is no L2 to probe (single-level).
+    fn lifetime(&self) -> Option<(u64, u64, Liveness)>;
+}
+
+impl Family for SingleBack {
+    fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
+        walk_events(self, segment);
+        vec![(0, self.misses, self.writebacks)]
+    }
+
+    fn lifetime(&self) -> Option<(u64, u64, Liveness)> {
+        None
+    }
+}
+
+impl Family for DmConventionalFamily {
+    fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
+        walk_events(self, segment);
+        self.counters()
+    }
+
+    fn lifetime(&self) -> Option<(u64, u64, Liveness)> {
         // Direct-mapped members have no replacement choice: no draws.
-        flush_family(stream, &out, 0, 0, fam.liveness_total());
-        return Ok(out);
+        Some((0, 0, self.liveness_total()))
     }
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        stream: &MissStream,
-        fw: FamilyWays,
-    ) -> Vec<HierarchyStats> {
-        let mut fam =
-            ConventionalFamily::<W> { states: l2_cfgs.iter().map(L2State::new).collect(), fw };
-        walk_events(&mut fam, stream);
-        let out: Vec<HierarchyStats> = fam
-            .states
-            .iter()
-            .map(|st| assemble(stream, (st.hits, st.misses, st.writebacks)))
-            .collect();
+}
+
+impl<const W: usize> Family for ConventionalFamily<W> {
+    fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
+        walk_events(self, segment);
+        self.states.iter().map(|st| (st.hits, st.misses, st.writebacks)).collect()
+    }
+
+    fn lifetime(&self) -> Option<(u64, u64, Liveness)> {
         let mut live = Liveness::default();
-        for st in &fam.states {
+        for st in &self.states {
             live.merge(st.liveness());
         }
-        flush_family(stream, &out, fam.states.iter().map(|st| st.lfsr_draws).sum(), 0, live);
-        out
+        Some((self.states.iter().map(|st| st.lfsr_draws).sum(), 0, live))
     }
-    // Monomorphise the common associativities so the set scans unroll.
-    Ok(match fw.ways {
-        2 => run::<2>(l2_cfgs, stream, fw),
-        4 => run::<4>(l2_cfgs, stream, fw),
-        8 => run::<8>(l2_cfgs, stream, fw),
-        _ => run::<0>(l2_cfgs, stream, fw),
-    })
 }
 
-/// Panicking wrapper around [`try_replay_conventional_family`] for
-/// callers that validate the family shape up front.
-///
-/// # Panics
-///
-/// Panics with the [`FamilyError`] message if the family is rejected.
-pub fn replay_conventional_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Vec<HierarchyStats> {
-    try_replay_conventional_family(l2_cfgs, stream).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Replays `stream` once through a whole family of exclusive
-/// (victim-swap) L2s, returning one [`HierarchyStats`] per member of
-/// `l2_cfgs`, in input order — each bit-identical to
-/// [`replay_exclusive`](crate::filter::replay_exclusive) on the same
-/// configuration. Every [`ReplacementKind`] is supported, and members
-/// may mix policies.
-///
-/// # Errors
-///
-/// As [`try_replay_conventional_family`].
-pub fn try_replay_exclusive_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Result<Vec<HierarchyStats>, FamilyError> {
-    if l2_cfgs.is_empty() {
-        return Ok(Vec::new());
+impl<const W: usize> Family for ExclusiveFamily<W> {
+    fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
+        walk_events(self, segment);
+        self.members.iter().map(|m| (m.l2.hits, m.l2.misses, m.l2.writebacks)).collect()
     }
-    let fw = FamilyWays::try_of(l2_cfgs, stream)?;
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        stream: &MissStream,
-        fw: FamilyWays,
-    ) -> Vec<HierarchyStats> {
-        let sets = stream.l1_sets();
-        let mut fam = ExclusiveFamily::<W> {
-            members: l2_cfgs
-                .iter()
-                .map(|cfg| ExclusiveFamilyMember {
-                    l2: L2State::new(cfg),
-                    mirror_i: vec![false; sets],
-                    mirror_d: vec![false; sets],
-                })
-                .collect(),
-            fw,
-            l1_set_mask: sets as u64 - 1,
-        };
-        walk_events(&mut fam, stream);
-        let out: Vec<HierarchyStats> = fam
-            .members
-            .iter()
-            .map(|m| assemble(stream, (m.l2.hits, m.l2.misses, m.l2.writebacks)))
-            .collect();
+
+    fn lifetime(&self) -> Option<(u64, u64, Liveness)> {
         let mut live = Liveness::default();
-        for m in &fam.members {
+        for m in &self.members {
             live.merge(m.l2.liveness());
         }
-        flush_family(
-            stream,
-            &out,
-            fam.members.iter().map(|m| m.l2.lfsr_draws).sum(),
-            fam.members.iter().map(|m| m.l2.swaps).sum(),
-            live,
-        );
-        out
+        let draws = self.members.iter().map(|m| m.l2.lfsr_draws).sum();
+        Some((draws, self.members.iter().map(|m| m.l2.swaps).sum(), live))
     }
-    // Monomorphise the common associativities so the set scans unroll.
-    Ok(match fw.ways {
-        1 => run::<1>(l2_cfgs, stream, fw),
-        2 => run::<2>(l2_cfgs, stream, fw),
-        4 => run::<4>(l2_cfgs, stream, fw),
-        8 => run::<8>(l2_cfgs, stream, fw),
-        _ => run::<0>(l2_cfgs, stream, fw),
-    })
 }
 
-/// Panicking wrapper around [`try_replay_exclusive_family`].
+/// Validates a two-level family against the stream geometry and returns
+/// its shared associativity.
 ///
 /// # Panics
 ///
-/// Panics with the [`FamilyError`] message if the family is rejected.
-pub fn replay_exclusive_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Vec<HierarchyStats> {
-    try_replay_exclusive_family(l2_cfgs, stream).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The single-level "family": every member shares the L1-only statistics,
-/// so the stream is walked once and the result cloned `members` times.
-pub fn replay_single_family(stream: &MissStream, members: usize) -> Vec<HierarchyStats> {
-    vec![replay_single(stream); members]
-}
-
-/// Validates that every segment of a stitched stream shares one L1
-/// geometry — they must all have come from the same front-end.
-fn assert_segments_stitchable(segments: &[MissStream]) {
-    let first = &segments[0];
-    for seg in segments {
-        assert_eq!(seg.line_bytes(), first.line_bytes(), "segments must share a line size");
-        assert_eq!(seg.l1_size_bytes(), first.l1_size_bytes(), "segments must share an L1 size");
+/// Panics if a member's line size differs from the stream's, or members
+/// disagree on associativity (the batched set scans monomorphise on one
+/// way count). Replacement policies may differ per member — each member
+/// carries its own [`ReplBank`].
+fn family_ways(l2_cfgs: &[CacheConfig], geometry: &MissStream) -> usize {
+    let ways = l2_cfgs.first().map_or(1, CacheConfig::ways);
+    for cfg in l2_cfgs {
+        assert_eq!(cfg.line_bytes(), geometry.line_bytes(), "L1 and L2 must share a line size");
+        assert_eq!(cfg.ways(), ways, "family members disagree on associativity");
     }
+    ways as usize
 }
 
-/// Flushes one segmented family pass's totals, mirroring
-/// [`flush_family`] with the event count summed over the segments (the
-/// stream was still decoded exactly once).
-fn flush_family_segments(
-    segments: &[MissStream],
-    out: &[Vec<HierarchyStats>],
-    draws: u64,
-    swaps: u64,
-    live: Liveness,
-) {
-    if !tlc_obs::ENABLED {
-        return;
-    }
-    let totals = HierarchyStats {
-        l2_hits: out.iter().flatten().map(|s| s.l2_hits).sum(),
-        l2_misses: out.iter().flatten().map(|s| s.l2_misses).sum(),
-        offchip_writebacks: out.iter().flatten().map(|s| s.offchip_writebacks).sum(),
-        ..HierarchyStats::default()
-    };
-    let events: u64 = segments.iter().map(|s| s.len()).sum();
-    crate::filter::flush_l2_counters(events, &totals, draws, swaps, live);
+/// One configuration family's persistent L2 state: every member's L2
+/// (or none, single-level), walked over one or more [`MissStream`]
+/// segments with each event decoded once for the whole family.
+///
+/// Build it with [`single`](L2Family::single),
+/// [`conventional`](L2Family::conventional) or
+/// [`exclusive`](L2Family::exclusive), call [`replay`](L2Family::replay)
+/// once per segment in trace order, then [`finish`](L2Family::finish) to
+/// flush the pass's `l2.*` counters. Each member's statistics are
+/// bit-identical to the corresponding monolithic hierarchy's on the
+/// reference stream the segments were captured from.
+#[derive(Debug)]
+pub struct L2Family {
+    back: Box<dyn Family>,
+    l1_size_bytes: u64,
+    line_bytes: u64,
+    /// Events walked so far, over every segment.
+    events: u64,
+    /// Measured counters summed over every segment and member.
+    measured: HierarchyStats,
 }
 
-/// Replays a *stitched* sequence of segments through one family of
-/// conventional L2s, returning per-segment, per-member statistics
-/// (`out[segment][member]`, members in `l2_cfgs` input order).
-///
-/// The family state — slot arrays, replacement banks, per-member LFSRs —
-/// is built **once** and persists across segments: segment `k` starts
-/// from the (stale) contents segment `k-1` left behind, each segment's
-/// warm-up prefix then refreshes that state before the counters reset
-/// at the segment's own warm-up boundary. This is the L2 half of
-/// stitched warming for sampled sweeps; a lone segment reproduces
-/// [`replay_conventional_family`] bit-for-bit.
-///
-/// # Errors
-///
-/// As [`try_replay_conventional_family`].
-///
-/// # Panics
-///
-/// Panics if segments disagree on L1 geometry or `segments` is empty.
-pub fn try_replay_conventional_family_segments(
-    l2_cfgs: &[CacheConfig],
-    segments: &[MissStream],
-) -> Result<Vec<Vec<HierarchyStats>>, FamilyError> {
-    assert!(!segments.is_empty(), "need at least one segment");
-    assert_segments_stitchable(segments);
-    if l2_cfgs.is_empty() {
-        return Ok(vec![Vec::new(); segments.len()]);
-    }
-    let fw = FamilyWays::try_of(l2_cfgs, &segments[0])?;
-    if fw.ways == 1 {
-        let mut order: Vec<usize> = (0..l2_cfgs.len()).collect();
-        order.sort_by_key(|&i| l2_cfgs[i].size_bytes());
-        let ascending: Vec<&CacheConfig> = order.iter().map(|&i| &l2_cfgs[i]).collect();
-        let mut fam = DmConventionalFamily::new(&ascending);
-        let mut out = Vec::with_capacity(segments.len());
-        for seg in segments {
-            fam.reset_counters();
-            {
-                let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-                walk_events(&mut fam, seg);
-            }
-            let counters = fam.counters();
-            let mut row = vec![HierarchyStats::default(); l2_cfgs.len()];
-            for (k, &i) in order.iter().enumerate() {
-                row[i] = assemble(seg, counters[k]);
-            }
-            out.push(row);
+impl L2Family {
+    fn with_back(back: Box<dyn Family>, geometry: &MissStream) -> Self {
+        L2Family {
+            back,
+            l1_size_bytes: geometry.l1_size_bytes(),
+            line_bytes: geometry.line_bytes(),
+            events: 0,
+            measured: HierarchyStats::default(),
         }
-        flush_family_segments(segments, &out, 0, 0, fam.liveness_total());
-        return Ok(out);
     }
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        segments: &[MissStream],
-        fw: FamilyWays,
-    ) -> Vec<Vec<HierarchyStats>> {
-        let mut fam =
-            ConventionalFamily::<W> { states: l2_cfgs.iter().map(L2State::new).collect(), fw };
-        let mut out = Vec::with_capacity(segments.len());
-        for seg in segments {
-            fam.reset_counters();
-            {
-                let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-                walk_events(&mut fam, seg);
-            }
-            out.push(
-                fam.states
-                    .iter()
-                    .map(|st| assemble(seg, (st.hits, st.misses, st.writebacks)))
-                    .collect(),
-            );
-        }
-        let mut live = Liveness::default();
-        for st in &fam.states {
-            live.merge(st.liveness());
-        }
-        flush_family_segments(
-            segments,
-            &out,
-            fam.states.iter().map(|st| st.lfsr_draws).sum(),
-            0,
-            live,
-        );
-        out
-    }
-    Ok(match fw.ways {
-        2 => run::<2>(l2_cfgs, segments, fw),
-        4 => run::<4>(l2_cfgs, segments, fw),
-        8 => run::<8>(l2_cfgs, segments, fw),
-        _ => run::<0>(l2_cfgs, segments, fw),
-    })
-}
 
-/// Panicking wrapper around [`try_replay_conventional_family_segments`].
-///
-/// # Panics
-///
-/// As [`try_replay_conventional_family_segments`], plus with the
-/// [`FamilyError`] message if the family is rejected.
-pub fn replay_conventional_family_segments(
-    l2_cfgs: &[CacheConfig],
-    segments: &[MissStream],
-) -> Vec<Vec<HierarchyStats>> {
-    try_replay_conventional_family_segments(l2_cfgs, segments).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// As [`try_replay_conventional_family_segments`] for a family of
-/// exclusive (victim-swap) L2s: persistent slot arrays, replacement
-/// banks, per-member fill-dirty mirrors, and LFSRs stitch across
-/// segments; a lone segment reproduces [`replay_exclusive_family`]
-/// bit-for-bit.
-///
-/// # Errors
-///
-/// As [`try_replay_conventional_family`].
-///
-/// # Panics
-///
-/// As [`try_replay_conventional_family_segments`].
-pub fn try_replay_exclusive_family_segments(
-    l2_cfgs: &[CacheConfig],
-    segments: &[MissStream],
-) -> Result<Vec<Vec<HierarchyStats>>, FamilyError> {
-    assert!(!segments.is_empty(), "need at least one segment");
-    assert_segments_stitchable(segments);
-    if l2_cfgs.is_empty() {
-        return Ok(vec![Vec::new(); segments.len()]);
+    /// The single-level "family" for segments captured through the same
+    /// L1 as `geometry`: there is no L2, so [`replay`](L2Family::replay)
+    /// returns one statistics record that every single-level member
+    /// shares.
+    pub fn single(geometry: &MissStream) -> Self {
+        L2Family::with_back(Box::<SingleBack>::default(), geometry)
     }
-    let fw = FamilyWays::try_of(l2_cfgs, &segments[0])?;
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        segments: &[MissStream],
-        fw: FamilyWays,
-    ) -> Vec<Vec<HierarchyStats>> {
-        let sets = segments[0].l1_sets();
-        let mut fam = ExclusiveFamily::<W> {
-            members: l2_cfgs
-                .iter()
-                .map(|cfg| ExclusiveFamilyMember {
-                    l2: L2State::new(cfg),
-                    mirror_i: vec![false; sets],
-                    mirror_d: vec![false; sets],
-                })
-                .collect(),
-            fw,
-            l1_set_mask: sets as u64 - 1,
+
+    /// A family of conventional L2s, one member per entry of `l2_cfgs`,
+    /// for segments captured through the same L1 as `geometry`.
+    ///
+    /// A family of direct-mapped members takes the threshold/histogram
+    /// fast path (`DmConventionalFamily`); any other associativity takes
+    /// the generic batched loop. Every replacement policy is supported,
+    /// and members may mix policies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member's line size differs from `geometry`'s or the
+    /// members disagree on associativity.
+    pub fn conventional(l2_cfgs: &[CacheConfig], geometry: &MissStream) -> Self {
+        let ways = family_ways(l2_cfgs, geometry);
+        // Monomorphise the common associativities so the set scans unroll.
+        let back: Box<dyn Family> = match ways {
+            1 => Box::new(DmConventionalFamily::new(l2_cfgs)),
+            2 => Box::new(ConventionalFamily::<2>::new(l2_cfgs, ways)),
+            4 => Box::new(ConventionalFamily::<4>::new(l2_cfgs, ways)),
+            8 => Box::new(ConventionalFamily::<8>::new(l2_cfgs, ways)),
+            _ => Box::new(ConventionalFamily::<0>::new(l2_cfgs, ways)),
         };
-        let mut out = Vec::with_capacity(segments.len());
-        for seg in segments {
-            fam.reset_counters();
-            {
-                let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-                walk_events(&mut fam, seg);
-            }
-            out.push(
-                fam.members
-                    .iter()
-                    .map(|m| assemble(seg, (m.l2.hits, m.l2.misses, m.l2.writebacks)))
-                    .collect(),
-            );
-        }
-        let mut live = Liveness::default();
-        for m in &fam.members {
-            live.merge(m.l2.liveness());
-        }
-        flush_family_segments(
-            segments,
-            &out,
-            fam.members.iter().map(|m| m.l2.lfsr_draws).sum(),
-            fam.members.iter().map(|m| m.l2.swaps).sum(),
-            live,
-        );
-        out
+        L2Family::with_back(back, geometry)
     }
-    Ok(match fw.ways {
-        1 => run::<1>(l2_cfgs, segments, fw),
-        2 => run::<2>(l2_cfgs, segments, fw),
-        4 => run::<4>(l2_cfgs, segments, fw),
-        8 => run::<8>(l2_cfgs, segments, fw),
-        _ => run::<0>(l2_cfgs, segments, fw),
-    })
-}
 
-/// Panicking wrapper around [`try_replay_exclusive_family_segments`].
-///
-/// # Panics
-///
-/// As [`try_replay_conventional_family_segments`], plus with the
-/// [`FamilyError`] message if the family is rejected.
-pub fn replay_exclusive_family_segments(
-    l2_cfgs: &[CacheConfig],
-    segments: &[MissStream],
-) -> Vec<Vec<HierarchyStats>> {
-    try_replay_exclusive_family_segments(l2_cfgs, segments).unwrap_or_else(|e| panic!("{e}"))
-}
+    /// A family of exclusive (victim-swap) L2s, one member per entry of
+    /// `l2_cfgs`, for segments captured through the same L1 as
+    /// `geometry`. Every replacement policy is supported, and members may
+    /// mix policies.
+    ///
+    /// # Panics
+    ///
+    /// As [`conventional`](L2Family::conventional).
+    pub fn exclusive(l2_cfgs: &[CacheConfig], geometry: &MissStream) -> Self {
+        let ways = family_ways(l2_cfgs, geometry);
+        let sets = geometry.l1_sets();
+        let back: Box<dyn Family> = match ways {
+            1 => Box::new(ExclusiveFamily::<1>::new(l2_cfgs, ways, sets)),
+            2 => Box::new(ExclusiveFamily::<2>::new(l2_cfgs, ways, sets)),
+            4 => Box::new(ExclusiveFamily::<4>::new(l2_cfgs, ways, sets)),
+            8 => Box::new(ExclusiveFamily::<8>::new(l2_cfgs, ways, sets)),
+            _ => Box::new(ExclusiveFamily::<0>::new(l2_cfgs, ways, sets)),
+        };
+        L2Family::with_back(back, geometry)
+    }
 
-/// Per-segment single-level statistics: there is no L2 state to stitch,
-/// so each segment replays independently.
-pub fn replay_single_family_segments(
-    segments: &[MissStream],
-    members: usize,
-) -> Vec<Vec<HierarchyStats>> {
-    segments
-        .iter()
-        .map(|seg| {
-            let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-            replay_single_family(seg, members)
-        })
-        .collect()
+    /// Walks the next segment through the family's L2 state and returns
+    /// one [`HierarchyStats`] per member, in input order (one shared
+    /// record for [`single`](L2Family::single)): the segment's L1-side
+    /// counters plus the member's measured L2 counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment's L1 geometry differs from the family's.
+    pub fn replay(&mut self, segment: &MissStream) -> Vec<HierarchyStats> {
+        assert_eq!(segment.line_bytes(), self.line_bytes, "segments must share a line size");
+        assert_eq!(segment.l1_size_bytes(), self.l1_size_bytes, "segments must share an L1 size");
+        self.back.reset_counters();
+        let counters = self.back.walk(segment);
+        self.events += segment.len();
+        counters
+            .into_iter()
+            .map(|(l2_hits, l2_misses, offchip_writebacks)| {
+                self.measured.l2_hits += l2_hits;
+                self.measured.l2_misses += l2_misses;
+                self.measured.offchip_writebacks += offchip_writebacks;
+                HierarchyStats { l2_hits, l2_misses, offchip_writebacks, ..*segment.l1_stats() }
+            })
+            .collect()
+    }
+
+    /// Ends the pass and flushes its totals to the global counters. The
+    /// stream was decoded once (`l2.events_replayed` counts passes ×
+    /// events, exposing the family's fan-in), while probes, hits, misses,
+    /// writebacks and liveness sum over the members. A single-level pass
+    /// contributes replayed events and off-chip writebacks but no probes
+    /// (`l2.probes` counts real L2 lookups only, keeping the hits+misses
+    /// invariant meaningful).
+    pub fn finish(self) {
+        match self.back.lifetime() {
+            None => {
+                tlc_obs::obs_count!(tlc_obs::Counter::L2EventsReplayed, self.events);
+                tlc_obs::obs_count!(
+                    tlc_obs::Counter::L2Writebacks,
+                    self.measured.offchip_writebacks
+                );
+            }
+            Some((draws, swaps, live)) => {
+                flush_l2_counters(self.events, &self.measured, draws, swaps, live)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::Cache;
-    use crate::config::Associativity;
-    use crate::filter::{replay_conventional, replay_exclusive, L1FrontEnd};
+    use crate::config::{Associativity, ReplacementKind};
+    use crate::filter::L1FrontEnd;
     use crate::hierarchy::MemorySystem;
+    use crate::oracle::{naive_replay_conventional, naive_replay_exclusive};
     use tlc_trace::spec::SpecBenchmark;
     use tlc_trace::InstructionSource;
 
@@ -1062,52 +831,68 @@ mod tests {
         fe.finish(b.name())
     }
 
+    fn conventional(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyStats> {
+        L2Family::conventional(cfgs, stream).replay(stream)
+    }
+
+    fn exclusive(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyStats> {
+        L2Family::exclusive(cfgs, stream).replay(stream)
+    }
+
+    fn naive_conventional(cfg: &CacheConfig, stream: &MissStream) -> HierarchyStats {
+        naive_replay_conventional(cfg.size_bytes(), cfg.ways(), cfg.replacement(), stream)
+    }
+
+    fn naive_exclusive(cfg: &CacheConfig, stream: &MissStream) -> HierarchyStats {
+        naive_replay_exclusive(cfg.size_bytes(), cfg.ways(), cfg.replacement(), stream)
+    }
+
     #[test]
-    fn conventional_family_matches_scalar_backend() {
+    fn conventional_family_matches_naive_oracle() {
         for ways in [1u32, 4] {
             let stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
             let cfgs: Vec<CacheConfig> =
                 [2048u64, 4096, 8192, 32768].map(|b| l2_cfg(b, ways)).to_vec();
-            let batched = replay_conventional_family(&cfgs, &stream);
+            let batched = conventional(&cfgs, &stream);
             for (cfg, got) in cfgs.iter().zip(&batched) {
-                assert_eq!(*got, replay_conventional(*cfg, &stream), "ways={ways} {cfg}");
+                assert_eq!(*got, naive_conventional(cfg, &stream), "ways={ways} {cfg}");
             }
         }
     }
 
     #[test]
-    fn exclusive_family_matches_scalar_backend() {
+    fn exclusive_family_matches_naive_oracle() {
         for ways in [1u32, 4] {
             let stream = capture(SpecBenchmark::Li, 1024, 2_000, 8_000);
             let cfgs: Vec<CacheConfig> =
                 [2048u64, 4096, 8192, 32768].map(|b| l2_cfg(b, ways)).to_vec();
-            let batched = replay_exclusive_family(&cfgs, &stream);
+            let batched = exclusive(&cfgs, &stream);
             for (cfg, got) in cfgs.iter().zip(&batched) {
-                assert_eq!(*got, replay_exclusive(*cfg, &stream), "ways={ways} {cfg}");
+                assert_eq!(*got, naive_exclusive(cfg, &stream), "ways={ways} {cfg}");
             }
         }
     }
 
     #[test]
-    fn family_matches_scalar_for_every_policy() {
+    fn family_matches_naive_oracle_for_every_policy() {
         let conv_stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         let excl_stream = capture(SpecBenchmark::Li, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
             for ways in [2u32, 4] {
                 let cfgs: Vec<CacheConfig> =
                     [2048u64, 8192, 32768].map(|b| l2_policy_cfg(b, ways, repl)).to_vec();
-                let conv = replay_conventional_family(&cfgs, &conv_stream);
-                let excl = replay_exclusive_family(&cfgs, &excl_stream);
+                let conv = conventional(&cfgs, &conv_stream);
+                let excl = exclusive(&cfgs, &excl_stream);
                 for (cfg, (c, e)) in cfgs.iter().zip(conv.iter().zip(&excl)) {
-                    assert_eq!(*c, replay_conventional(*cfg, &conv_stream), "{repl} {cfg}");
-                    assert_eq!(*e, replay_exclusive(*cfg, &excl_stream), "{repl} {cfg}");
+                    assert_eq!(*c, naive_conventional(cfg, &conv_stream), "{repl} {cfg}");
+                    assert_eq!(*e, naive_exclusive(cfg, &excl_stream), "{repl} {cfg}");
                 }
             }
         }
     }
 
     #[test]
-    fn mixed_policy_family_matches_scalar() {
+    fn mixed_policy_family_matches_naive_oracle() {
         // Members carry their own replacement banks, so one family can
         // mix policies freely.
         let stream = capture(SpecBenchmark::Espresso, 1024, 1_000, 6_000);
@@ -1116,9 +901,9 @@ mod tests {
             .enumerate()
             .map(|(i, &r)| l2_policy_cfg(2048 << i, 4, r))
             .collect();
-        let batched = replay_conventional_family(&cfgs, &stream);
+        let batched = conventional(&cfgs, &stream);
         for (cfg, got) in cfgs.iter().zip(&batched) {
-            assert_eq!(*got, replay_conventional(*cfg, &stream), "{cfg}");
+            assert_eq!(*got, naive_conventional(cfg, &stream), "{cfg}");
         }
     }
 
@@ -1126,9 +911,9 @@ mod tests {
     fn dm_fast_path_handles_unsorted_and_duplicate_sizes() {
         let stream = capture(SpecBenchmark::Espresso, 1024, 1_000, 6_000);
         let cfgs: Vec<CacheConfig> = [8192u64, 2048, 8192, 4096].map(|b| l2_cfg(b, 1)).to_vec();
-        let batched = replay_conventional_family(&cfgs, &stream);
+        let batched = conventional(&cfgs, &stream);
         for (cfg, got) in cfgs.iter().zip(&batched) {
-            assert_eq!(*got, replay_conventional(*cfg, &stream), "{cfg}");
+            assert_eq!(*got, naive_conventional(cfg, &stream), "{cfg}");
         }
         assert_eq!(batched[0], batched[2], "duplicate sizes share statistics");
     }
@@ -1138,7 +923,7 @@ mod tests {
         let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
         let cfgs: Vec<CacheConfig> =
             [2048u64, 4096, 8192, 16384, 32768].map(|b| l2_cfg(b, 1)).to_vec();
-        let stats = replay_conventional_family(&cfgs, &stream);
+        let stats = conventional(&cfgs, &stream);
         for pair in stats.windows(2) {
             assert!(
                 pair[1].l2_misses <= pair[0].l2_misses,
@@ -1151,52 +936,64 @@ mod tests {
     fn warmup_boundary_resets_family_counters() {
         let stream = capture(SpecBenchmark::Fpppp, 1024, 3_000, 3_000);
         for cfgs in [[l2_cfg(4096, 4), l2_cfg(16384, 4)], [l2_cfg(4096, 1), l2_cfg(16384, 1)]] {
-            let conv = replay_conventional_family(&cfgs, &stream);
-            let excl = replay_exclusive_family(&cfgs, &stream);
+            let conv = conventional(&cfgs, &stream);
+            let excl = exclusive(&cfgs, &stream);
             for (cfg, (c, e)) in cfgs.iter().zip(conv.iter().zip(&excl)) {
-                assert_eq!(*c, replay_conventional(*cfg, &stream));
-                assert_eq!(*e, replay_exclusive(*cfg, &stream));
+                assert_eq!(*c, naive_conventional(cfg, &stream));
+                assert_eq!(*e, naive_exclusive(cfg, &stream));
                 assert_eq!(c.instructions, 3_000);
             }
         }
     }
 
     #[test]
+    fn stitched_segments_carry_l2_state() {
+        // Two copies of one stream: the second segment starts warm, so a
+        // big L2 misses less there than on a cold replay, while a lone
+        // segment is exactly the whole-stream replay.
+        let seg = || capture(SpecBenchmark::Gcc1, 1024, 0, 6_000);
+        let cfgs = [l2_cfg(65536, 4)];
+        let cold = conventional(&cfgs, &seg())[0];
+        let mut fam = L2Family::conventional(&cfgs, &seg());
+        assert_eq!(fam.replay(&seg())[0], cold);
+        let warm = fam.replay(&seg())[0];
+        assert!(warm.l2_misses < cold.l2_misses, "warm {warm:?} vs cold {cold:?}");
+        assert_eq!(warm.instructions, cold.instructions);
+    }
+
+    #[test]
     fn empty_family_and_empty_window() {
         let stream = capture(SpecBenchmark::Li, 1024, 500, 0);
-        assert!(replay_conventional_family(&[], &stream).is_empty());
-        assert!(replay_exclusive_family(&[], &stream).is_empty());
+        assert!(conventional(&[], &stream).is_empty());
+        assert!(exclusive(&[], &stream).is_empty());
         let cfgs = [l2_cfg(4096, 4)];
-        assert_eq!(replay_conventional_family(&cfgs, &stream)[0], HierarchyStats::default());
-        assert_eq!(replay_exclusive_family(&cfgs, &stream)[0], HierarchyStats::default());
-        assert_eq!(replay_single_family(&stream, 3), vec![HierarchyStats::default(); 3]);
+        assert_eq!(conventional(&cfgs, &stream)[0], HierarchyStats::default());
+        assert_eq!(exclusive(&cfgs, &stream)[0], HierarchyStats::default());
+        assert_eq!(L2Family::single(&stream).replay(&stream), vec![HierarchyStats::default()]);
     }
 
     #[test]
     #[should_panic(expected = "associativity")]
     fn rejects_mixed_associativity() {
         let stream = capture(SpecBenchmark::Li, 1024, 500, 500);
-        let _ = replay_conventional_family(&[l2_cfg(4096, 4), l2_cfg(8192, 2)], &stream);
+        let _ = L2Family::exclusive(&[l2_cfg(4096, 4), l2_cfg(8192, 2)], &stream);
     }
 
     #[test]
-    fn try_variants_return_typed_errors_instead_of_panicking() {
+    #[should_panic(expected = "line size")]
+    fn rejects_mismatched_line_size() {
         let stream = capture(SpecBenchmark::Li, 1024, 500, 500);
-        let mixed = [l2_cfg(4096, 4), l2_cfg(8192, 2)];
-        assert_eq!(
-            try_replay_conventional_family(&mixed, &stream),
-            Err(FamilyError::MixedWays { first: 4, other: 2 })
-        );
-        assert_eq!(
-            try_replay_exclusive_family(&mixed, &stream),
-            Err(FamilyError::MixedWays { first: 4, other: 2 })
-        );
         let wide_line =
             CacheConfig::new(4096, 32, Associativity::SetAssoc(4), ReplacementKind::Lru).unwrap();
-        assert_eq!(
-            try_replay_conventional_family(&[wide_line], &stream),
-            Err(FamilyError::LineSize { member: 32, stream: 16 })
-        );
+        let _ = L2Family::conventional(&[wide_line], &stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 size")]
+    fn rejects_segment_from_another_l1() {
+        let stream = capture(SpecBenchmark::Li, 1024, 500, 500);
+        let other = capture(SpecBenchmark::Li, 2048, 500, 500);
+        let _ = L2Family::conventional(&[l2_cfg(8192, 4)], &stream).replay(&other);
     }
 
     /// Drives a plain [`Cache`] with the conventional back-end's exact
@@ -1228,9 +1025,7 @@ mod tests {
         let stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
             let cfgs = [l2_policy_cfg(4096, 4, repl), l2_policy_cfg(16384, 4, repl)];
-            let fw = FamilyWays::try_of(&cfgs, &stream).unwrap();
-            let mut fam =
-                ConventionalFamily::<4> { states: cfgs.iter().map(L2State::new).collect(), fw };
+            let mut fam = ConventionalFamily::<4>::new(&cfgs, 4);
             walk_events(&mut fam, &stream);
             for (cfg, st) in cfgs.iter().zip(&fam.states) {
                 let mut scalar = ScalarConvSink { l2: Cache::new(*cfg) };
@@ -1249,9 +1044,8 @@ mod tests {
             return;
         }
         let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
-        let cfgs = [l2_cfg(2048, 1), l2_cfg(8192, 1)];
-        let ascending: Vec<&CacheConfig> = cfgs.iter().collect();
-        let mut fam = DmConventionalFamily::new(&ascending);
+        let cfgs = [l2_cfg(8192, 1), l2_cfg(2048, 1)];
+        let mut fam = DmConventionalFamily::new(&cfgs);
         walk_events(&mut fam, &stream);
         let mut expected = Liveness::default();
         for cfg in &cfgs {

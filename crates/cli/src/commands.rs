@@ -12,8 +12,8 @@ use tlc_core::experiment::{simulate_source, SimBudget};
 use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
     default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads,
-    try_sweep_filtered_arena_threads, try_sweep_predict_arena_threads, try_sweep_sampled_threads,
-    try_sweep_streaming_threads, try_sweep_threads, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
+    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_streaming_threads,
+    try_sweep_threads, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
 };
 use tlc_core::sampling::{capture_phase_slices, sample_source, PhaseSample, SampleOptions};
 use tlc_core::tpi::tpi_ns;
@@ -40,7 +40,7 @@ pub fn usage() -> String {
      \u{20} sweep      sweep the paper's configuration space on one workload\n\
      \u{20}            --workload gcc1 [--offchip 50] [--ways 4] [--policy ...] [--csv] [--instr N]\n\
      \u{20}            [--l2-repl lru|fifo|pseudo-random|tree-plru|srrip]  L2 replacement policy\n\
-     \u{20}            [--engine auto|streaming|arena|filtered|family|predict] [--threads N]\n\
+     \u{20}            [--engine auto|streaming|arena|family|predict] [--threads N]\n\
      \u{20}            [--metrics out.json]  write a tlc-run-manifest/2 document\n\
      \u{20}            [--trace-out t.json]  Chrome trace-event timeline (open in ui.perfetto.dev)\n\
      \u{20}            [--progress]          live configs-done/ETA/events-per-second ticker on stderr\n\
@@ -240,10 +240,9 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         return Err(ArgError("--threads must be at least 1".into()));
     }
     let engine = args.get("engine").unwrap_or("auto").to_string();
-    if !["auto", "streaming", "arena", "filtered", "family", "predict"].contains(&engine.as_str()) {
+    if !["auto", "streaming", "arena", "family", "predict"].contains(&engine.as_str()) {
         return Err(ArgError(format!(
-            "unknown engine {engine:?}; choose auto, streaming, arena, filtered, family or \
-             predict"
+            "unknown engine {engine:?}; choose auto, streaming, arena, family or predict"
         )));
     }
     match &input {
@@ -258,7 +257,7 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         SweepInput::Trace { .. } if engine == "streaming" => {
             return Err(ArgError(
                 "--engine streaming regenerates a synthetic workload; a --trace sweep always \
-                 replays the captured stream (use auto, arena, filtered, family or predict)"
+                 replays the captured stream (use auto, arena, family or predict)"
                     .into(),
             ));
         }
@@ -297,12 +296,6 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                     "arena" => {
                         let arena = capture("arena_capture");
                         try_sweep_arena_threads(&configs, &arena, budget, &timing, &area, threads)
-                    }
-                    "filtered" => {
-                        let arena = capture("arena_capture");
-                        try_sweep_filtered_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        )
                     }
                     "family" => {
                         let arena = capture("arena_capture");
@@ -373,9 +366,6 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                     };
                     match engine.as_str() {
                         "arena" => try_sweep_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        ),
-                        "filtered" => try_sweep_filtered_arena_threads(
                             &configs, &arena, budget, &timing, &area, threads,
                         ),
                         "predict" => try_sweep_predict_arena_threads(
@@ -1185,7 +1175,7 @@ mod tests {
         ])
         .expect("audit");
         assert!(out.contains("clean"));
-        assert!(out.contains("streaming/dyn/arena/filtered/family/predict"));
+        assert!(out.contains("streaming/dyn/arena/family/predict"));
         let doc: tlc_core::audit::AuditReport =
             serde_json::from_str(&std::fs::read_to_string(&json).expect("json written"))
                 .expect("valid report json");
@@ -1360,7 +1350,7 @@ mod tests {
             "--engine",
         ];
         let mut outputs = Vec::new();
-        for engine in ["auto", "streaming", "arena", "filtered", "family"] {
+        for engine in ["auto", "streaming", "arena", "family"] {
             let mut argv: Vec<&str> = base.to_vec();
             argv.push(engine);
             outputs.push(run(&argv).unwrap_or_else(|e| panic!("engine {engine}: {e:?}")));
@@ -1368,10 +1358,13 @@ mod tests {
         for o in &outputs[1..] {
             assert_eq!(&outputs[0], o, "engines must produce identical sweeps");
         }
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.push("warp");
-        let err = run(&argv).expect_err("unknown engine must be rejected");
-        assert!(format!("{err:?}").contains("unknown engine"));
+        // The retired `filtered` engine name is rejected like any other.
+        for bad in ["warp", "filtered"] {
+            let mut argv: Vec<&str> = base.to_vec();
+            argv.push(bad);
+            let err = run(&argv).expect_err("unknown engine must be rejected");
+            assert!(format!("{err:?}").contains("unknown engine"), "{bad}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::machine::{L2Policy, MachineConfig, MachineTiming};
 use crate::tpi;
 use serde::{Deserialize, Serialize};
 use tlc_area::AreaModel;
-use tlc_cache::filter::{replay_conventional, replay_exclusive, replay_single};
+use tlc_cache::filter_family::L2Family;
 use tlc_cache::{HierarchyStats, L1FrontEnd, MemorySystem, MissStream, SystemKind};
 use tlc_timing::TimingModel;
 use tlc_trace::arena::{ChunkView, FLAG_NONE, FLAG_STORE};
@@ -225,10 +225,9 @@ pub fn simulate_source_on<S: InstructionSource + ?Sized, M: MemorySystem + ?Size
 /// The pre-arena reference engine: drives the stream through the open
 /// [`MemorySystem`] trait object from [`build_system`], exactly as every
 /// evaluation did before the sweep engine existed — one virtual call per
-/// reference, regenerating the stream per invocation. Kept (rather than
-/// deleted) so the sweep benchmark has a stable baseline to measure the
-/// arena path against and so equivalence tests can pin the new engines
-/// to the old one bit-for-bit.
+/// reference, regenerating the stream per invocation. Kept so the
+/// equivalence tests and the audit's `dyn` engine can pin the fast
+/// engines to the trait-object path bit-for-bit.
 pub fn simulate_source_dyn<S: InstructionSource + ?Sized>(
     cfg: &MachineConfig,
     source: &mut S,
@@ -243,7 +242,7 @@ pub fn simulate_source_dyn<S: InstructionSource + ?Sized>(
 
 /// As [`evaluate`], through the pre-arena reference engine
 /// ([`simulate_source_dyn`]). Bit-identical results, vtable-dispatch
-/// speed; used as the sweep benchmark's baseline.
+/// speed; the equivalence tests' trait-object baseline.
 pub fn evaluate_dyn(
     cfg: &MachineConfig,
     benchmark: SpecBenchmark,
@@ -340,7 +339,7 @@ pub fn simulate_arena(
 /// caches **once**, and only the events the L2 would observe are kept.
 ///
 /// Mirrors [`simulate_arena`]'s warm-up split and early-exhaustion
-/// contract, so [`simulate_filtered`] on the result is bit-identical to
+/// contract, so [`simulate_family`] on the result is bit-identical to
 /// [`simulate_arena`] on the full arena. Returns `None` when the packed
 /// event stream outgrows `byte_limit` (checked between chunks; an L1 so
 /// small that most references miss could otherwise approach the arena's
@@ -486,69 +485,15 @@ pub fn capture_miss_stream_segments(
     Some(segments)
 }
 
-/// As [`simulate_arena`], replaying a captured [`MissStream`] through the
-/// configuration's L2 back-end only — the miss-stream filtering fast
-/// path. Bit-identical to the arena engine when `stream` was captured
-/// with the same budget from the same arena.
-///
-/// # Panics
-///
-/// Panics if `cfg`'s L1 size or line size differs from the stream's (the
-/// stream encodes one specific L1 front-end).
-pub fn simulate_filtered(cfg: &MachineConfig, stream: &MissStream) -> HierarchyStats {
-    try_simulate_filtered(cfg, stream).expect("valid L2 configuration")
-}
-
-/// As [`simulate_filtered`], returning the configuration error instead
-/// of panicking on an invalid L2 geometry (the audit sampler's path).
-/// The L1/line mismatch panics remain — those are contract violations,
-/// not sampleable geometry.
-///
-/// # Errors
-///
-/// Returns the [`ConfigError`](tlc_cache::ConfigError) describing the
-/// invalid L2 geometry.
-///
-/// # Panics
-///
-/// Panics if `cfg`'s L1 size or line size differs from the stream's.
-pub fn try_simulate_filtered(
-    cfg: &MachineConfig,
-    stream: &MissStream,
-) -> Result<HierarchyStats, tlc_cache::ConfigError> {
-    assert_eq!(cfg.l1_size_bytes, stream.l1_size_bytes(), "stream captured for a different L1");
-    assert_eq!(cfg.line_bytes, stream.line_bytes(), "stream captured for a different line size");
-    Ok(match l2_config(cfg)? {
-        None => replay_single(stream),
-        Some(l2) => match cfg.l2.expect("l2_config returned Some").policy {
-            L2Policy::Conventional => replay_conventional(l2, stream),
-            L2Policy::Exclusive => replay_exclusive(l2, stream),
-        },
-    })
-}
-
-/// As [`evaluate_arena`], through the miss-stream filtering engine
-/// ([`simulate_filtered`]): the L1 cost was paid once at capture, so this
-/// touches only the L1-miss events. Bit-identical to [`evaluate_arena`]
-/// when `stream` came from [`capture_miss_stream`] over the same arena
-/// and budget.
-pub fn evaluate_filtered(
-    cfg: &MachineConfig,
-    stream: &MissStream,
-    timing: &TimingModel,
-    area: &AreaModel,
-) -> DesignPoint {
-    let stats = simulate_filtered(cfg, stream);
-    design_point(cfg, stream.name().to_string(), stats, timing, area)
-}
-
-/// As [`simulate_filtered`] over a whole *family* of configurations in
-/// one pass: every member must share the stream's L1 and line size plus
-/// one L2 policy and associativity (or all be single-level), and the
-/// event stream is decoded exactly once for all of them
-/// ([`tlc_cache::filter_family`]). Returns one statistics record per
-/// member of `cfgs`, in input order, each bit-identical to
-/// [`simulate_filtered`] on that member.
+/// Replays a captured [`MissStream`] once through a whole *family* of
+/// configurations — the miss-stream filtering fast path: every member
+/// must share the stream's L1 and line size plus one L2 policy,
+/// associativity and replacement (or all be single-level), and the event
+/// stream is decoded exactly once for all of them ([`L2Family`]).
+/// Returns one statistics record per member of `cfgs`, in input order,
+/// each bit-identical to [`simulate_arena`] on that member when `stream`
+/// was captured with the same budget from the same arena. A family of
+/// one configuration is the per-configuration replay.
 ///
 /// Members that differ only in off-chip latency or L1 cell kind — or
 /// that repeat an L2 size outright — share one simulated L2 internally:
@@ -557,58 +502,15 @@ pub fn evaluate_filtered(
 ///
 /// # Panics
 ///
-/// Panics if `cfgs` mix L2 policies, associativities, L1 sizes, or line
-/// sizes, or if any member's L1 geometry differs from the stream's.
+/// Panics if `cfgs` mix L2 policies, associativities, replacement
+/// policies, L1 sizes, or line sizes, if any member's L1 geometry
+/// differs from the stream's, or if an L2 geometry is invalid.
 pub fn simulate_family(cfgs: &[MachineConfig], stream: &MissStream) -> Vec<HierarchyStats> {
-    use tlc_cache::filter_family::{
-        replay_conventional_family, replay_exclusive_family, replay_single_family,
-    };
-    use tlc_cache::{Associativity, CacheConfig};
-    if cfgs.is_empty() {
-        return Vec::new();
-    }
-    for cfg in cfgs {
-        assert_eq!(cfg.l1_size_bytes, stream.l1_size_bytes(), "stream captured for a different L1");
-        assert_eq!(
-            cfg.line_bytes,
-            stream.line_bytes(),
-            "stream captured for a different line size"
-        );
-    }
-    let family = cfgs[0].l2.map(|s| (s.policy, s.ways, s.repl));
-    assert!(
-        cfgs.iter().all(|c| c.l2.map(|s| (s.policy, s.ways, s.repl)) == family),
-        "a family shares one L2 policy, associativity, and replacement"
-    );
-    let Some((policy, ways, repl)) = family else {
-        return replay_single_family(stream, cfgs.len());
-    };
-    // Deduplicate by L2 capacity; duplicate sizes share one simulation.
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut size_of: Vec<usize> = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let sz = cfg.l2.expect("two-level family").size_bytes;
-        let k = sizes.iter().position(|&s| s == sz).unwrap_or_else(|| {
-            sizes.push(sz);
-            sizes.len() - 1
-        });
-        size_of.push(k);
-    }
-    let assoc = if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
-    let l2_cfgs: Vec<CacheConfig> = sizes
-        .iter()
-        .map(|&sz| {
-            CacheConfig::new(sz, stream.line_bytes(), assoc, repl).expect("valid L2 configuration")
-        })
-        .collect();
-    let per_size = match policy {
-        L2Policy::Conventional => replay_conventional_family(&l2_cfgs, stream),
-        L2Policy::Exclusive => replay_exclusive_family(&l2_cfgs, stream),
-    };
-    size_of.into_iter().map(|k| per_size[k]).collect()
+    let mut rows = replay_family(cfgs, std::slice::from_ref(stream), false);
+    rows.pop().expect("one segment, one row")
 }
 
-/// As [`evaluate_filtered`] over a whole family in one pass
+/// As [`evaluate_arena`] over a whole family in one pass
 /// ([`simulate_family`]): one event decode serves every member, and each
 /// member still gets its own timing/area derivation. Returns one
 /// [`DesignPoint`] per member of `cfgs`, in input order.
@@ -633,7 +535,8 @@ pub fn evaluate_family(
 /// refreshes stale state instead of filling a cold cache. Returns
 /// per-segment, per-member statistics (`out[segment][member]`, members
 /// in `cfgs` input order); a lone segment reproduces [`simulate_family`]
-/// bit-for-bit.
+/// bit-for-bit. Each segment's walk is timed into the
+/// `sample.slice_replay_ns` histogram.
 ///
 /// # Panics
 ///
@@ -643,25 +546,34 @@ pub fn simulate_family_segments(
     cfgs: &[MachineConfig],
     segments: &[MissStream],
 ) -> Vec<Vec<HierarchyStats>> {
-    use tlc_cache::filter_family::{
-        replay_conventional_family_segments, replay_exclusive_family_segments,
-        replay_single_family_segments,
-    };
-    use tlc_cache::{Associativity, CacheConfig};
+    replay_family(cfgs, segments, true)
+}
+
+/// The one family replay behind [`simulate_family`] and
+/// [`simulate_family_segments`]: validates the family, deduplicates it
+/// by L2 capacity, walks every segment through one [`L2Family`] (timing
+/// each walk when `time_segments`), and fans the per-size statistics
+/// back out to `cfgs` order.
+fn replay_family(
+    cfgs: &[MachineConfig],
+    segments: &[MissStream],
+    time_segments: bool,
+) -> Vec<Vec<HierarchyStats>> {
     assert!(!segments.is_empty(), "need at least one segment");
     if cfgs.is_empty() {
         return vec![Vec::new(); segments.len()];
     }
+    let geometry = &segments[0];
     for cfg in cfgs {
         assert_eq!(
             cfg.l1_size_bytes,
-            segments[0].l1_size_bytes(),
-            "segments captured for a different L1"
+            geometry.l1_size_bytes(),
+            "stream captured for a different L1"
         );
         assert_eq!(
             cfg.line_bytes,
-            segments[0].line_bytes(),
-            "segments captured for a different line size"
+            geometry.line_bytes(),
+            "stream captured for a different line size"
         );
     }
     let family = cfgs[0].l2.map(|s| (s.policy, s.ways, s.repl));
@@ -669,33 +581,35 @@ pub fn simulate_family_segments(
         cfgs.iter().all(|c| c.l2.map(|s| (s.policy, s.ways, s.repl)) == family),
         "a family shares one L2 policy, associativity, and replacement"
     );
-    let Some((policy, ways, repl)) = family else {
-        return replay_single_family_segments(segments, cfgs.len());
-    };
-    // Deduplicate by L2 capacity; duplicate sizes share one simulation.
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut size_of: Vec<usize> = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let sz = cfg.l2.expect("two-level family").size_bytes;
-        let k = sizes.iter().position(|&s| s == sz).unwrap_or_else(|| {
-            sizes.push(sz);
-            sizes.len() - 1
-        });
-        size_of.push(k);
-    }
-    let assoc = if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
-    let l2_cfgs: Vec<CacheConfig> = sizes
+    // Deduplicate by L2 capacity; duplicate sizes share one simulation
+    // (and every single-level member shares the one no-L2 record).
+    let mut l2_cfgs: Vec<tlc_cache::CacheConfig> = Vec::new();
+    let member_of: Vec<usize> = cfgs
         .iter()
-        .map(|&sz| {
-            CacheConfig::new(sz, segments[0].line_bytes(), assoc, repl)
-                .expect("valid L2 configuration")
+        .map(|cfg| {
+            let Some(l2) = l2_config(cfg).expect("valid L2 configuration") else { return 0 };
+            l2_cfgs.iter().position(|c| c.size_bytes() == l2.size_bytes()).unwrap_or_else(|| {
+                l2_cfgs.push(l2);
+                l2_cfgs.len() - 1
+            })
         })
         .collect();
-    let per_size = match policy {
-        L2Policy::Conventional => replay_conventional_family_segments(&l2_cfgs, segments),
-        L2Policy::Exclusive => replay_exclusive_family_segments(&l2_cfgs, segments),
+    let mut fam = match family.map(|(policy, ..)| policy) {
+        None => L2Family::single(geometry),
+        Some(L2Policy::Conventional) => L2Family::conventional(&l2_cfgs, geometry),
+        Some(L2Policy::Exclusive) => L2Family::exclusive(&l2_cfgs, geometry),
     };
-    per_size.into_iter().map(|row| size_of.iter().map(|&k| row[k]).collect()).collect()
+    let rows: Vec<Vec<HierarchyStats>> = segments
+        .iter()
+        .map(|seg| {
+            let _t = time_segments
+                .then(|| tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs));
+            let row = fam.replay(seg);
+            member_of.iter().map(|&k| row[k]).collect()
+        })
+        .collect();
+    fam.finish();
+    rows
 }
 
 /// Whether the analytical predictor's ε contract covers `cfg`:
@@ -1010,7 +924,7 @@ mod tests {
     }
 
     #[test]
-    fn filtered_evaluation_is_bit_identical_to_arena_evaluation() {
+    fn one_member_family_is_bit_identical_to_arena_evaluation() {
         let (tm, am) = models();
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
@@ -1026,13 +940,13 @@ mod tests {
             MachineConfig::two_level(4, 8, 1, L2Policy::Exclusive, 200.0),
         ] {
             let via_arena = evaluate_arena(&cfg, &arena, budget, &tm, &am);
-            let via_stream = evaluate_filtered(&cfg, &stream, &tm, &am);
-            assert_eq!(via_arena, via_stream, "{}", cfg.label());
+            let via_stream = evaluate_family(&[cfg], &stream, &tm, &am);
+            assert_eq!(vec![via_arena], via_stream, "{}", cfg.label());
         }
     }
 
     #[test]
-    fn family_evaluation_is_bit_identical_to_filtered_evaluation() {
+    fn family_evaluation_is_bit_identical_to_arena_evaluation() {
         let (tm, am) = models();
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
@@ -1046,7 +960,7 @@ mod tests {
                     .to_vec();
                 let family = evaluate_family(&cfgs, &stream, &tm, &am);
                 for (cfg, got) in cfgs.iter().zip(&family) {
-                    let want = evaluate_filtered(cfg, &stream, &tm, &am);
+                    let want = evaluate_arena(cfg, &arena, budget, &tm, &am);
                     assert_eq!(*got, want, "{policy:?} ways={ways} {}", cfg.label());
                 }
             }
@@ -1055,12 +969,12 @@ mod tests {
         let singles = [MachineConfig::single_level(4, 50.0), MachineConfig::single_level(4, 200.0)];
         let family = evaluate_family(&singles, &stream, &tm, &am);
         for (cfg, got) in singles.iter().zip(&family) {
-            assert_eq!(*got, evaluate_filtered(cfg, &stream, &tm, &am), "{}", cfg.label());
+            assert_eq!(*got, evaluate_arena(cfg, &arena, budget, &tm, &am), "{}", cfg.label());
         }
     }
 
     #[test]
-    fn predicted_evaluation_matches_filtered_within_epsilon() {
+    fn predicted_evaluation_matches_replay_within_epsilon() {
         use tlc_cache::{miss_ratio_error, MISS_RATIO_EPSILON};
         let (tm, am) = models();
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
@@ -1078,7 +992,7 @@ mod tests {
         let predicted = evaluate_predicted(&cfgs, &stream, &tm, &am);
         assert_eq!(predicted.len(), cfgs.len());
         for (cfg, got) in cfgs.iter().zip(&predicted) {
-            let truth = evaluate_filtered(cfg, &stream, &tm, &am);
+            let truth = evaluate_arena(cfg, &arena, budget, &tm, &am);
             assert_eq!(got.label, truth.label);
             assert_eq!(got.workload, truth.workload);
             assert_eq!(got.area_rbe, truth.area_rbe);
@@ -1127,12 +1041,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "different L1")]
-    fn filtered_rejects_mismatched_l1() {
+    fn family_rejects_mismatched_l1() {
         let budget = SimBudget { instructions: 2_000, warmup_instructions: 500 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
         let stream = capture_miss_stream(1024, 16, &arena, budget, usize::MAX).unwrap();
         let cfg = MachineConfig::single_level(8, 50.0);
-        let _ = simulate_filtered(&cfg, &stream);
+        let _ = simulate_family(&[cfg], &stream);
     }
 
     #[test]

@@ -6,23 +6,30 @@
 //! (two virtual generator calls plus up to three RNG draws per
 //! instruction, times millions of instructions, times dozens of
 //! configurations). The sweeps here instead capture each benchmark's
-//! stream once into a shared [`TraceArena`] and fan the configurations
-//! out over a thread pool, each worker replaying the packed buffer
-//! through the devirtualized fast path
-//! ([`evaluate_arena`]).
+//! stream once into a shared [`TraceArena`] and fan the work out over a
+//! thread pool.
 //!
-//! Both decompositions produce bit-identical [`DesignPoint`]s: the arena
-//! holds exactly the stream the seeded generator would produce, and the
-//! replay issues references in the same order. [`sweep`] picks the arena
-//! path automatically unless the budget would make the capture enormous
-//! (see [`ARENA_BYTES_LIMIT`]); [`sweep_streaming_threads`] keeps the
-//! regenerate-per-configuration path available for comparison and for
-//! memory-constrained hosts.
+//! The default, [`sweep`], goes further: it replays the arena through
+//! each distinct L1 front-end once ([`l1_groups`]), and every family of
+//! configurations sharing that L1 and one L2 policy, associativity and
+//! replacement replays the captured miss stream in a single pass
+//! ([`sweep_family_arena_threads`]). It streams instead only when the
+//! budget would make the capture enormous (see [`ARENA_BYTES_LIMIT`]).
+//! [`sweep_arena_threads`] replays the arena per configuration, and
+//! [`sweep_streaming_threads`] keeps the regenerate-per-configuration
+//! path for comparison and for memory-constrained hosts. All of them
+//! produce bit-identical [`DesignPoint`]s: the arena holds exactly the
+//! stream the seeded generator would produce, and every replay issues
+//! references in the same order.
+//!
+//! [`sweep_predict_arena_threads`] is the one approximate engine (the
+//! family sweep with its predictable members answered analytically), and
+//! [`sweep_sampled_threads`] sweeps only a trace's representative phases.
 
 use crate::configspace::unique_configs;
 use crate::experiment::{
-    capture_benchmark, capture_miss_stream, capture_miss_stream_segments, evaluate, evaluate_arena,
-    evaluate_dyn, evaluate_family, evaluate_filtered, evaluate_predicted, simulate_family_segments,
+    capture_benchmark, capture_miss_stream, capture_miss_stream_segments, config_is_predictable,
+    evaluate, evaluate_arena, evaluate_family, evaluate_predicted, simulate_family_segments,
     DesignPoint, SimBudget,
 };
 use crate::machine::{L2Policy, MachineConfig};
@@ -31,6 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tlc_area::AreaModel;
+use tlc_cache::{HierarchyStats, MissStream, ReplacementKind};
 use tlc_obs::{obs_count, obs_event, obs_hist, obs_span, Counter, Hist, HistTimer, PhaseSpan};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -127,7 +135,8 @@ pub fn arena_bytes_for(budget: SimBudget) -> usize {
 }
 
 /// Upper bound on one captured miss stream's packed size before the
-/// filtered sweep falls back to plain arena replay for that L1 group.
+/// family and predict sweeps fall back to plain arena replay for that L1
+/// group (and the sampled sweep to cold per-slice replay).
 /// Matches [`ARENA_BYTES_LIMIT`]; in practice a miss stream is 1–10% of
 /// the arena (Table 1 miss rates), so the bound only trips for L1s small
 /// enough that most references miss.
@@ -141,8 +150,8 @@ pub type L1Key = (u64, u64);
 
 /// Groups configuration indices by their L1 front-end, in order of first
 /// appearance. Each entry is `(key, indices into configs)`; every index
-/// appears exactly once. This is the capture schedule of the filtered
-/// sweep: one L1 simulation per returned group.
+/// appears exactly once. This is the capture schedule of the family,
+/// predict and sampled sweeps: one L1 simulation per returned group.
 pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
     let mut groups: Vec<(L1Key, Vec<usize>)> = Vec::new();
     for (i, cfg) in configs.iter().enumerate() {
@@ -279,35 +288,7 @@ pub fn try_sweep_arena_threads(
     )
 }
 
-/// The miss-stream filtering sweep: configurations are grouped by L1
-/// front-end ([`l1_groups`]), the arena is replayed through each distinct
-/// L1 **once** to capture its miss/victim event stream, and every
-/// configuration then replays only its group's events through its L2
-/// back-end. Bit-identical to [`sweep_arena_threads`]; the L1 work —
-/// which the arena path repeats for every configuration sharing an L1 —
-/// is paid once per group.
-///
-/// Groups of one configuration skip the capture (it cannot pay for
-/// itself), and a group whose event stream would exceed
-/// [`MISS_STREAM_BYTES_LIMIT`] falls back to plain arena replay, so the
-/// sweep's memory stays bounded by the same reasoning as the 1 GiB arena
-/// bound. Results are returned in input order.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_filtered_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_filtered_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// Phase A of the filtered and family sweeps: one miss-stream capture
+/// Phase A of the family and predict sweeps: one miss-stream capture
 /// per L1 group that will amortise it, with a `group[...]` phase span
 /// per capture and fallback events for the groups that opt out
 /// (singletons, byte-limited streams).
@@ -316,7 +297,7 @@ fn try_capture_group_streams(
     arena: &TraceArena,
     budget: SimBudget,
     threads: usize,
-) -> Result<Vec<Option<tlc_cache::MissStream>>, SweepError> {
+) -> Result<Vec<Option<MissStream>>, SweepError> {
     let _span = obs_span!("l1_capture");
     try_run_indexed(
         groups.len(),
@@ -353,68 +334,196 @@ fn try_capture_group_streams(
     )
 }
 
-/// As [`sweep_filtered_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`] naming the L1 group or configuration.
+/// One parallel work unit of the family, predict and sampled sweeps.
+enum Unit<'a> {
+    /// A whole L1 group's predictable members, answered analytically
+    /// from one profiling pass over its stream.
+    Predict { stream: &'a MissStream, members: Vec<usize> },
+    /// A family chunk walking its L1 group's captured segments once for
+    /// every member (a whole-stream sweep captures one segment).
+    Family { segments: &'a [MissStream], members: Vec<usize> },
+    /// One configuration of an L1 group with no captured segments (a
+    /// singleton or byte-limited group), replayed on its own.
+    Replay { idx: usize },
+}
+
+impl Unit<'_> {
+    /// The unit a worker panic is reported against.
+    fn describe(&self, configs: &[MachineConfig]) -> SweepUnit {
+        match self {
+            Unit::Predict { members, .. } => SweepUnit::PredictGroup {
+                l1_size_bytes: configs[members[0]].l1_size_bytes,
+                line_bytes: configs[members[0]].line_bytes,
+                members: members.clone(),
+            },
+            Unit::Family { members, .. } => SweepUnit::FamilyChunk {
+                l1_size_bytes: configs[members[0]].l1_size_bytes,
+                line_bytes: configs[members[0]].line_bytes,
+                members: members.clone(),
+            },
+            Unit::Replay { idx } => SweepUnit::Config { index: *idx, label: configs[*idx].label() },
+        }
+    }
+}
+
+/// The one sweep planner. Each L1 group with captured segments splits
+/// into its predictable members (one predict unit, only when `predict`)
+/// and *families* sharing one L2 policy, associativity and replacement,
+/// in first-appearance order — in the paper's spaces a family is "one
+/// L1, every L2 capacity". Groups without segments replay per
+/// configuration.
 ///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn try_sweep_filtered_arena_threads(
+/// With several threads, a family holding more than its fair share of
+/// the exactly replayed members is chunked, so one dominant group cannot
+/// serialise the sweep (each chunk still shares one decode among its
+/// members; a single-threaded sweep keeps every family whole). Predict
+/// units are never chunked: splitting one would repeat its profiling
+/// pass, and the per-member cost after the pass is tiny.
+fn plan<'a>(
+    configs: &[MachineConfig],
+    groups: &[(L1Key, Vec<usize>)],
+    captured: &[Option<&'a [MissStream]>],
+    predict: bool,
+    threads: usize,
+) -> Vec<Unit<'a>> {
+    let mut units = Vec::new();
+    // The chunk cap's share base: family members, plus — in the predict
+    // sweep only — the configurations replayed on their own.
+    let mut replayed = 0usize;
+    for ((_, idxs), &segments) in groups.iter().zip(captured) {
+        let Some(segments) = segments else {
+            if predict {
+                replayed += idxs.len();
+            }
+            units.extend(idxs.iter().map(|&idx| Unit::Replay { idx }));
+            continue;
+        };
+        let (predictable, exact): (Vec<usize>, Vec<usize>) =
+            idxs.iter().partition(|&&i| predict && config_is_predictable(&configs[i]));
+        if !predictable.is_empty() {
+            units.push(Unit::Predict { stream: &segments[0], members: predictable });
+        }
+        type FamilyKey = Option<(L2Policy, u32, ReplacementKind)>;
+        let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
+        for i in exact {
+            let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
+            match fams.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, v)) => v.push(i),
+                None => fams.push((key, vec![i])),
+            }
+        }
+        for (_, members) in fams {
+            replayed += members.len();
+            units.push(Unit::Family { segments, members });
+        }
+    }
+    if threads == 1 || replayed == 0 {
+        return units;
+    }
+    let cap = replayed.div_ceil(threads).max(2);
+    units
+        .into_iter()
+        .flat_map(|unit| match unit {
+            Unit::Family { segments, members } if members.len() > cap => members
+                .chunks(cap)
+                .map(|chunk| Unit::Family { segments, members: chunk.to_vec() })
+                .collect(),
+            other => vec![other],
+        })
+        .collect()
+}
+
+/// Phase B of every planned sweep: fans `units` out over `threads`
+/// workers under a `fan_out` span, then scatters each unit's
+/// `(input index, point)` pairs back into input order.
+fn fan_out<F>(
+    configs: &[MachineConfig],
+    units: &[Unit],
+    threads: usize,
+    eval: F,
+) -> Result<Vec<DesignPoint>, SweepError>
+where
+    F: Fn(&Unit) -> Vec<(usize, DesignPoint)> + Sync,
+{
+    let evaluated = {
+        let _span = obs_span!("fan_out");
+        try_run_indexed(units.len(), threads, |u| eval(&units[u]), |u| units[u].describe(configs))?
+    };
+    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
+    for (i, p) in evaluated.into_iter().flatten() {
+        slots[i] = Some(p);
+    }
+    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
+}
+
+/// The configurations at `members`, in order.
+fn member_configs(configs: &[MachineConfig], members: &[usize]) -> Vec<MachineConfig> {
+    members.iter().map(|&i| configs[i]).collect()
+}
+
+/// The family and predict sweeps over one arena: capture each L1
+/// group's miss stream once, [`plan`] the units, and fan them out.
+fn try_sweep_captured(
     configs: &[MachineConfig],
     arena: &TraceArena,
     budget: SimBudget,
     timing: &TimingModel,
     area: &AreaModel,
     threads: usize,
+    predict: bool,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     assert!(threads > 0, "need at least one worker thread");
     let groups = l1_groups(configs);
     // Phase A: one L1 capture per group that will amortise it.
     let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    let mut stream_of = vec![None; configs.len()];
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        for &i in idxs {
-            stream_of[i] = streams[g].as_ref();
+    let captured: Vec<Option<&[MissStream]>> =
+        streams.iter().map(|s| s.as_ref().map(std::slice::from_ref)).collect();
+    let units = plan(configs, &groups, &captured, predict, threads);
+    fan_out(configs, &units, threads, |unit| match unit {
+        Unit::Predict { stream, members } => {
+            let first = &configs[members[0]];
+            let span = PhaseSpan::enter_with("predict_group", || {
+                format!("{}B/{}B", first.l1_size_bytes, first.line_bytes)
+            });
+            span.add_items(members.len() as u64);
+            let cfgs = member_configs(configs, members);
+            members.iter().copied().zip(evaluate_predicted(&cfgs, stream, timing, area)).collect()
         }
-    }
-    // Phase B: fan the configurations over the captured streams.
-    let _span = obs_span!("fan_out");
-    try_run_indexed(
-        configs.len(),
-        threads,
-        |i| match stream_of[i] {
-            Some(stream) => evaluate_filtered(&configs[i], stream, timing, area),
-            None => evaluate_arena(&configs[i], arena, budget, timing, area),
-        },
-        |i| SweepUnit::Config { index: i, label: configs[i].label() },
-    )
+        Unit::Family { segments, members } => {
+            if predict {
+                obs_count!(Counter::PredictConfigsReplayed, members.len() as u64);
+            }
+            let cfgs = member_configs(configs, members);
+            let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
+            let points = evaluate_family(&cfgs, &segments[0], timing, area);
+            members.iter().copied().zip(points).collect()
+        }
+        Unit::Replay { idx } => {
+            if predict {
+                obs_count!(Counter::PredictConfigsReplayed, 1);
+            }
+            vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
+        }
+    })
 }
 
-/// One parallel work unit of the family sweep: a family chunk replaying
-/// one captured stream for several configurations at once, or a single
-/// configuration falling back to arena replay.
-enum FamilyUnit<'a> {
-    Family { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
-    Arena { idx: usize },
-}
-
-/// The family-batched sweep: configurations are grouped by L1 front-end
-/// ([`l1_groups`]) and captured exactly as in
-/// [`sweep_filtered_arena_threads`]; each captured group is then
-/// partitioned into *families* sharing one L2 policy and associativity
-/// (in the paper's spaces, a family is "one L1, every L2 capacity"), and
-/// each family replays its group's events **once** for all of its
-/// members ([`evaluate_family`]). Bit-identical to
-/// [`sweep_filtered_arena_threads`]; the event decode — which the
-/// filtered path repeats for every configuration — is paid once per
-/// family.
+/// The family-batched sweep, the default exact engine: configurations
+/// are grouped by L1 front-end ([`l1_groups`]), the arena is replayed
+/// through each distinct L1 **once** to capture its miss/victim event
+/// stream, and each group is then partitioned into *families* sharing
+/// one L2 policy, associativity and replacement. Each family replays its
+/// group's events **once** for all of its members ([`evaluate_family`]).
+/// Bit-identical to [`sweep_arena_threads`]; the L1 work — which the
+/// arena path repeats for every configuration — is paid once per group,
+/// and the event decode once per family.
 ///
-/// Parallelism runs across (group × family) units; when one family holds
-/// more than its fair share of the space, it is chunked so a dominant
-/// group cannot serialise a multi-threaded sweep (a single-threaded
-/// sweep keeps every family whole for maximal sharing). Singleton L1
-/// groups and byte-limited captures fall back exactly as in the filtered
-/// sweep. Results are returned in input order.
+/// Parallelism runs across (group × family) units, with oversized
+/// families chunked when `threads > 1`. Groups of one configuration skip
+/// the capture (it cannot pay for itself), and a group whose event
+/// stream would exceed [`MISS_STREAM_BYTES_LIMIT`] falls back to plain
+/// arena replay, so the sweep's memory stays bounded by the same
+/// reasoning as the 1 GiB arena bound. Results are returned in input
+/// order.
 ///
 /// # Panics
 ///
@@ -445,99 +554,7 @@ pub fn try_sweep_family_arena_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    assert!(threads > 0, "need at least one worker thread");
-    let groups = l1_groups(configs);
-    // Phase A: one L1 capture per group that will amortise it.
-    let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    // Partition each captured group into families, preserving
-    // first-appearance order within the group.
-    let mut units: Vec<FamilyUnit> = Vec::new();
-    let mut family_members = 0usize;
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        match streams[g].as_ref() {
-            Some(stream) => {
-                type FamilyKey = Option<(L2Policy, u32, tlc_cache::ReplacementKind)>;
-                let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
-                for &i in idxs {
-                    let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
-                    match fams.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, v)) => v.push(i),
-                        None => fams.push((key, vec![i])),
-                    }
-                }
-                for (_, members) in fams {
-                    family_members += members.len();
-                    units.push(FamilyUnit::Family { stream, members });
-                }
-            }
-            None => units.extend(idxs.iter().map(|&i| FamilyUnit::Arena { idx: i })),
-        }
-    }
-    // Chunk oversized families so one dominant group cannot serialise a
-    // multi-threaded sweep; the batching win degrades gracefully (each
-    // chunk still shares one decode among its members).
-    if threads > 1 && family_members > 0 {
-        let cap = family_members.div_ceil(threads).max(2);
-        let mut chunked = Vec::with_capacity(units.len());
-        for unit in units {
-            match unit {
-                FamilyUnit::Family { stream, members } if members.len() > cap => {
-                    for chunk in members.chunks(cap) {
-                        chunked.push(FamilyUnit::Family { stream, members: chunk.to_vec() });
-                    }
-                }
-                other => chunked.push(other),
-            }
-        }
-        units = chunked;
-    }
-    // Phase B: fan the units out; each returns (input index, point) pairs.
-    let evaluated = {
-        let _span = obs_span!("fan_out");
-        try_run_indexed(
-            units.len(),
-            threads,
-            |u| match &units[u] {
-                FamilyUnit::Family { stream, members } => {
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-                    let points = evaluate_family(&cfgs, stream, timing, area);
-                    members.iter().copied().zip(points).collect::<Vec<_>>()
-                }
-                FamilyUnit::Arena { idx } => {
-                    vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
-                }
-            },
-            |u| match &units[u] {
-                FamilyUnit::Family { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::FamilyChunk {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                FamilyUnit::Arena { idx } => {
-                    SweepUnit::Config { index: *idx, label: configs[*idx].label() }
-                }
-            },
-        )?
-    };
-    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
-    for batch in evaluated {
-        for (i, p) in batch {
-            slots[i] = Some(p);
-        }
-    }
-    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
-}
-
-/// One parallel work unit of the sampled sweep: a family walking every
-/// stitched segment of its L1 group, or a single configuration falling
-/// back to cold per-slice arena replay (byte-limited capture).
-enum SampledUnit<'a> {
-    Family { segments: &'a [tlc_cache::MissStream], members: Vec<usize> },
-    Cold { idx: usize },
+    try_sweep_captured(configs, arena, budget, timing, area, threads, false)
 }
 
 /// The sampled sweep with **stitched warming**: configurations are
@@ -593,7 +610,7 @@ pub fn try_sweep_sampled_threads(
     let groups = l1_groups(configs);
     // Phase A: one stitched capture per L1 group — a single front-end
     // replays every slice sequentially so L1 state carries across them.
-    let captured: Vec<Option<Vec<tlc_cache::MissStream>>> = {
+    let captured: Vec<Option<Vec<MissStream>>> = {
         let _span = obs_span!("l1_capture");
         try_run_indexed(
             groups.len(),
@@ -619,145 +636,53 @@ pub fn try_sweep_sampled_threads(
             |g| SweepUnit::L1Group { l1_size_bytes: groups[g].0 .0, line_bytes: groups[g].0 .1 },
         )?
     };
-    // Partition each captured group into families exactly as the family
-    // sweep does; byte-limited groups fall back per configuration.
-    let mut units: Vec<SampledUnit> = Vec::new();
-    let mut family_members = 0usize;
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        match captured[g].as_deref() {
-            Some(segments) => {
-                type FamilyKey = Option<(L2Policy, u32, tlc_cache::ReplacementKind)>;
-                let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
-                for &i in idxs {
-                    let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
-                    match fams.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, v)) => v.push(i),
-                        None => fams.push((key, vec![i])),
-                    }
-                }
-                for (_, members) in fams {
-                    family_members += members.len();
-                    units.push(SampledUnit::Family { segments, members });
-                }
-            }
-            None => units.extend(idxs.iter().map(|&i| SampledUnit::Cold { idx: i })),
+    // Plan exactly as the family sweep does; byte-limited groups fall
+    // back per configuration.
+    let captured: Vec<Option<&[MissStream]>> = captured.iter().map(Option::as_deref).collect();
+    let units = plan(configs, &groups, &captured, false, threads);
+    // Phase B: each unit returns its points with the per-phase
+    // statistics already recombined.
+    fan_out(configs, &units, threads, |unit| match unit {
+        Unit::Family { segments, members } => {
+            let per_seg = simulate_family_segments(&member_configs(configs, members), segments);
+            obs_count!(Counter::RunnerConfigsCompleted, (members.len() * segments.len()) as u64);
+            members
+                .iter()
+                .enumerate()
+                .map(|(m, &i)| {
+                    let parts: Vec<(f64, HierarchyStats)> =
+                        per_seg.iter().zip(slices).map(|(row, s)| (s.weight, row[m])).collect();
+                    (i, recombined(&configs[i], &workload, &parts, timing, area))
+                })
+                .collect()
         }
-    }
-    // Chunk oversized families so one dominant group cannot serialise a
-    // multi-threaded sweep (same policy as the family sweep).
-    if threads > 1 && family_members > 0 {
-        let cap = family_members.div_ceil(threads).max(2);
-        let mut chunked = Vec::with_capacity(units.len());
-        for unit in units {
-            match unit {
-                SampledUnit::Family { segments, members } if members.len() > cap => {
-                    for chunk in members.chunks(cap) {
-                        chunked.push(SampledUnit::Family { segments, members: chunk.to_vec() });
-                    }
-                }
-                other => chunked.push(other),
-            }
+        Unit::Replay { idx } => {
+            // No stitched segments: replay each slice cold (its warm-up
+            // prefix is the only warming). Each `evaluate_arena` ticks
+            // one completion, keeping the configs × phases manifest
+            // invariant.
+            let cfg = &configs[*idx];
+            let parts: Vec<(f64, HierarchyStats)> = slices
+                .iter()
+                .map(|s| (s.weight, evaluate_arena(cfg, &s.arena, s.budget, timing, area).stats))
+                .collect();
+            vec![(*idx, recombined(cfg, &workload, &parts, timing, area))]
         }
-        units = chunked;
-    }
-    // Phase B: fan the units out; each returns (input index, point)
-    // pairs with the per-phase statistics already recombined.
-    let evaluated = {
-        let _span = obs_span!("fan_out");
-        try_run_indexed(
-            units.len(),
-            threads,
-            |u| match &units[u] {
-                SampledUnit::Family { segments, members } => {
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let per_seg = simulate_family_segments(&cfgs, segments);
-                    obs_count!(
-                        Counter::RunnerConfigsCompleted,
-                        (members.len() * segments.len()) as u64
-                    );
-                    members
-                        .iter()
-                        .enumerate()
-                        .map(|(m, &i)| {
-                            let parts: Vec<(f64, tlc_cache::HierarchyStats)> = per_seg
-                                .iter()
-                                .zip(slices)
-                                .map(|(row, slice)| (slice.weight, row[m]))
-                                .collect();
-                            let stats = crate::sampling::combine_weighted(&parts);
-                            (
-                                i,
-                                crate::experiment::design_point_untracked(
-                                    &configs[i],
-                                    workload.clone(),
-                                    stats,
-                                    timing,
-                                    area,
-                                ),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                }
-                SampledUnit::Cold { idx } => {
-                    // No stitched segments: replay each slice cold (its
-                    // warm-up prefix is the only warming). Each
-                    // `evaluate_arena` ticks one completion, keeping the
-                    // configs × phases manifest invariant.
-                    let cfg = &configs[*idx];
-                    let parts: Vec<(f64, tlc_cache::HierarchyStats)> = slices
-                        .iter()
-                        .map(|slice| {
-                            (
-                                slice.weight,
-                                evaluate_arena(cfg, &slice.arena, slice.budget, timing, area).stats,
-                            )
-                        })
-                        .collect();
-                    let stats = crate::sampling::combine_weighted(&parts);
-                    vec![(
-                        *idx,
-                        crate::experiment::design_point_untracked(
-                            cfg,
-                            workload.clone(),
-                            stats,
-                            timing,
-                            area,
-                        ),
-                    )]
-                }
-            },
-            |u| match &units[u] {
-                SampledUnit::Family { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::FamilyChunk {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                SampledUnit::Cold { idx } => {
-                    SweepUnit::Config { index: *idx, label: configs[*idx].label() }
-                }
-            },
-        )?
-    };
-    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
-    for batch in evaluated {
-        for (i, p) in batch {
-            slots[i] = Some(p);
-        }
-    }
-    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
+        Unit::Predict { .. } => unreachable!("sampled sweeps plan no predict units"),
+    })
 }
 
-/// One parallel work unit of the predict sweep: a whole group answered
-/// analytically from one profiling pass, a family chunk replaying the
-/// members the model cannot cover, or a single configuration falling
-/// back to arena replay.
-enum PredictUnit<'a> {
-    Predict { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
-    Family { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
-    Arena { idx: usize },
+/// One configuration's whole-trace design point from its weighted
+/// per-phase statistics (untracked: the per-phase runs already ticked).
+fn recombined(
+    cfg: &MachineConfig,
+    workload: &str,
+    parts: &[(f64, HierarchyStats)],
+    timing: &TimingModel,
+    area: &AreaModel,
+) -> DesignPoint {
+    let stats = crate::sampling::combine_weighted(parts);
+    crate::experiment::design_point_untracked(cfg, workload.to_string(), stats, timing, area)
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
@@ -775,7 +700,7 @@ enum PredictUnit<'a> {
 /// [`tlc_cache::predict`]). Members the model cannot cover stay on
 /// replay and remain bit-identical: exclusive hierarchies and
 /// set-associative members with FIFO, tree-PLRU, or SRRIP replacement
-/// (see [`config_is_predictable`](crate::config_is_predictable)) go
+/// (see [`config_is_predictable`]) go
 /// through the family engine, and singleton or byte-limited L1 groups
 /// fall back to plain arena replay. The `predict.configs_predicted` /
 /// `predict.configs_replayed` counters record the split. Results are
@@ -810,124 +735,7 @@ pub fn try_sweep_predict_arena_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    assert!(threads > 0, "need at least one worker thread");
-    let groups = l1_groups(configs);
-    // Phase A: one L1 capture per group that will amortise it.
-    let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    // Partition each captured group: everything inside the prediction
-    // model (single-level, direct-mapped, and LRU/pseudo-random
-    // conventional members, any mix of sizes and ways) forms one predict
-    // unit sharing one profiling pass; exclusive members and policies
-    // without a closed form stay on family-batched replay.
-    let mut units: Vec<PredictUnit> = Vec::new();
-    let mut replay_members = 0usize;
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        match streams[g].as_ref() {
-            Some(stream) => {
-                let (predictable, replayed): (Vec<usize>, Vec<usize>) = idxs
-                    .iter()
-                    .partition(|&&i| crate::experiment::config_is_predictable(&configs[i]));
-                if !predictable.is_empty() {
-                    units.push(PredictUnit::Predict { stream, members: predictable });
-                }
-                type FamilyKey = (L2Policy, u32, tlc_cache::ReplacementKind);
-                let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
-                for i in replayed {
-                    let s = configs[i].l2.expect("unpredictable members are two-level");
-                    let key = (s.policy, s.ways, s.repl);
-                    match fams.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, v)) => v.push(i),
-                        None => fams.push((key, vec![i])),
-                    }
-                }
-                for (_, members) in fams {
-                    replay_members += members.len();
-                    units.push(PredictUnit::Family { stream, members });
-                }
-            }
-            None => {
-                replay_members += idxs.len();
-                units.extend(idxs.iter().map(|&i| PredictUnit::Arena { idx: i }));
-            }
-        }
-    }
-    // Chunk oversized replay families exactly as the family engine does.
-    // Predict units are never chunked: splitting one would repeat its
-    // profiling pass, and the per-member cost after the pass is tiny.
-    if threads > 1 && replay_members > 0 {
-        let cap = replay_members.div_ceil(threads).max(2);
-        let mut chunked = Vec::with_capacity(units.len());
-        for unit in units {
-            match unit {
-                PredictUnit::Family { stream, members } if members.len() > cap => {
-                    for chunk in members.chunks(cap) {
-                        chunked.push(PredictUnit::Family { stream, members: chunk.to_vec() });
-                    }
-                }
-                other => chunked.push(other),
-            }
-        }
-        units = chunked;
-    }
-    // Phase B: fan the units out; each returns (input index, point) pairs.
-    let evaluated = {
-        let _span = obs_span!("fan_out");
-        try_run_indexed(
-            units.len(),
-            threads,
-            |u| match &units[u] {
-                PredictUnit::Predict { stream, members } => {
-                    let first = &configs[members[0]];
-                    let span = PhaseSpan::enter_with("predict_group", || {
-                        format!("{}B/{}B", first.l1_size_bytes, first.line_bytes)
-                    });
-                    span.add_items(members.len() as u64);
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let points = evaluate_predicted(&cfgs, stream, timing, area);
-                    members.iter().copied().zip(points).collect::<Vec<_>>()
-                }
-                PredictUnit::Family { stream, members } => {
-                    obs_count!(Counter::PredictConfigsReplayed, members.len() as u64);
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-                    let points = evaluate_family(&cfgs, stream, timing, area);
-                    members.iter().copied().zip(points).collect::<Vec<_>>()
-                }
-                PredictUnit::Arena { idx } => {
-                    obs_count!(Counter::PredictConfigsReplayed, 1);
-                    vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
-                }
-            },
-            |u| match &units[u] {
-                PredictUnit::Predict { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::PredictGroup {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                PredictUnit::Family { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::FamilyChunk {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                PredictUnit::Arena { idx } => {
-                    SweepUnit::Config { index: *idx, label: configs[*idx].label() }
-                }
-            },
-        )?
-    };
-    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
-    for batch in evaluated {
-        for (i, p) in batch {
-            slots[i] = Some(p);
-        }
-    }
-    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
+    try_sweep_captured(configs, arena, budget, timing, area, threads, true)
 }
 
 /// The regenerate-per-configuration sweep: each evaluation rebuilds the
@@ -968,31 +776,6 @@ pub fn try_sweep_streaming_threads(
         configs.len(),
         threads,
         |i| evaluate(&configs[i], benchmark, budget, timing, area),
-        |i| SweepUnit::Config { index: i, label: configs[i].label() },
-    )
-}
-
-/// The pre-arena baseline sweep: regenerates the stream per
-/// configuration *and* dispatches every reference through the
-/// `Box<dyn MemorySystem>` engine, exactly as `sweep` worked before the
-/// trace arena. Kept for the sweep benchmark (the speedup baseline) and
-/// for equivalence testing; new code should use [`sweep`].
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_dyn_threads(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    run_indexed(
-        configs.len(),
-        threads,
-        |i| evaluate_dyn(&configs[i], benchmark, budget, timing, area),
         |i| SweepUnit::Config { index: i, label: configs[i].label() },
     )
 }
@@ -1140,20 +923,6 @@ where
     Ok(slots.into_iter().map(|s| s.expect("every slot filled")).collect())
 }
 
-/// As [`try_run_indexed`], re-raising a worker panic with its unit
-/// context for the infallible sweep entry points.
-fn run_indexed<T, F, U>(n: usize, threads: usize, eval: F, unit_of: U) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    U: Fn(usize) -> SweepUnit + Sync,
-{
-    match try_run_indexed(n, threads, eval, unit_of) {
-        Ok(v) => v,
-        Err(e) => panic!("sweep worker thread panicked at {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1268,27 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn filtered_sweep_matches_arena_sweep() {
-        let tm = TimingModel::paper();
-        let am = AreaModel::new();
-        // Mixed space: singles, conventional, exclusive — shared L1s.
-        let mut opts = SpaceOptions::baseline();
-        let mut configs = single_level_configs(&opts)[..3].to_vec();
-        configs.extend_from_slice(&two_level_configs(&opts)[..6]);
-        opts.l2_policy = crate::machine::L2Policy::Exclusive;
-        configs.extend_from_slice(&two_level_configs(&opts)[..6]);
-        let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
-        let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let plain = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
-        for threads in [1, 3] {
-            let filtered =
-                sweep_filtered_arena_threads(&configs, &arena, budget, &tm, &am, threads);
-            assert_eq!(plain, filtered, "filtered sweep diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn family_sweep_matches_filtered_sweep() {
+    fn family_sweep_matches_arena_sweep() {
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         // Mixed space: singles, conventional, exclusive, and a second
@@ -1302,11 +1051,55 @@ mod tests {
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let filtered = sweep_filtered_arena_threads(&configs, &arena, budget, &tm, &am, 2);
+        let plain = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
         for threads in [1, 3] {
             let family = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads);
-            assert_eq!(filtered, family, "family sweep diverged at {threads} threads");
+            assert_eq!(plain, family, "family sweep diverged at {threads} threads");
         }
+    }
+
+    #[test]
+    fn planner_chunk_caps_follow_each_engine() {
+        // Six exclusive configs share a captured 1KB group; six more sit
+        // in an uncaptured 2KB group. At two threads the family sweep
+        // sizes its cap from family members only (6 → chunks of 3),
+        // while the predict sweep also counts its per-configuration
+        // replays (12 → cap 6, no chunking).
+        let mut opts = SpaceOptions::baseline();
+        opts.l2_policy = crate::machine::L2Policy::Exclusive;
+        let space = two_level_configs(&opts);
+        let pick = |l1| space.iter().filter(move |c| c.l1_size_bytes == l1).take(6).copied();
+        let configs: Vec<MachineConfig> = pick(1024).chain(pick(2048)).collect();
+        assert_eq!(configs.len(), 12);
+        let groups = l1_groups(&configs);
+        let stream = MissStream::from_parts(
+            "empty",
+            tlc_trace::EventArena::new(),
+            0,
+            HierarchyStats::default(),
+            1024,
+            16,
+        );
+        let captured = [Some(std::slice::from_ref(&stream)), None];
+        let family_sizes = |units: &[Unit]| -> Vec<usize> {
+            units
+                .iter()
+                .filter_map(|u| match u {
+                    Unit::Family { members, .. } => Some(members.len()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let family = plan(&configs, &groups, &captured, false, 2);
+        assert_eq!(family_sizes(&family), vec![3, 3]);
+        let predict = plan(&configs, &groups, &captured, true, 2);
+        assert_eq!(family_sizes(&predict), vec![6]);
+        assert!(!predict.iter().any(|u| matches!(u, Unit::Predict { .. })), "exclusive");
+        for units in [&family, &predict] {
+            assert_eq!(units.iter().filter(|u| matches!(u, Unit::Replay { .. })).count(), 6);
+        }
+        // One thread keeps every family whole.
+        assert_eq!(family_sizes(&plan(&configs, &groups, &captured, false, 1)), vec![6]);
     }
 
     #[test]
@@ -1400,7 +1193,7 @@ mod tests {
     }
 
     #[test]
-    fn filtered_sweep_handles_singleton_groups() {
+    fn family_sweep_handles_singleton_groups() {
         // Every config has a distinct L1: all groups are singletons, so
         // the whole sweep takes the arena fallback path.
         let tm = TimingModel::paper();
@@ -1410,14 +1203,14 @@ mod tests {
         let budget = SimBudget { instructions: 8_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
         let plain = sweep_arena_threads(configs, &arena, budget, &tm, &am, 1);
-        let filtered = sweep_filtered_arena_threads(configs, &arena, budget, &tm, &am, 2);
-        assert_eq!(plain, filtered);
+        let family = sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 2);
+        assert_eq!(plain, family);
     }
 
     #[test]
     fn tight_byte_limit_falls_back_to_arena_replay() {
-        // A zero byte limit rejects every capture; the filtered sweep
-        // must still return bit-identical results via the fallback.
+        // A zero byte limit rejects every capture; the family sweep
+        // falls back to arena replay for such groups.
         let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
         let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);
         assert!(capture_miss_stream(1024, 16, &arena, budget, 0).is_none());

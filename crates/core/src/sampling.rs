@@ -216,8 +216,14 @@ impl PhaseSample {
             if p.members == 0 || p.weight_instructions == 0 {
                 return Err(format!("phase at interval {} is empty", p.representative));
             }
-            members += p.members;
-            weight += p.weight_instructions;
+            // User-supplied counts: a sum that overflows could otherwise
+            // wrap around to the expected total and pass.
+            members = members
+                .checked_add(p.members)
+                .ok_or_else(|| "phase members sum overflows u64".to_string())?;
+            weight = weight
+                .checked_add(p.weight_instructions)
+                .ok_or_else(|| "phase weights sum overflows u64".to_string())?;
         }
         if members != self.intervals {
             return Err(format!("phase members sum {members} != intervals {}", self.intervals));
@@ -497,15 +503,12 @@ pub fn capture_phase_slices<S: InstructionSource + ?Sized>(
         let prefix = slice_start - capture_start;
         // Skip the stream forward to the capture start (no replay cost,
         // just decode).
-        let mut skipped = 0u64;
         while pos < capture_start {
             if source.next_instruction_opt().is_none() {
                 break;
             }
             pos += 1;
-            skipped += 1;
         }
-        let _ = skipped;
         let arena = TraceArena::capture(source, prefix + slice_len);
         pos += arena.len();
         let measured = arena.len().saturating_sub(prefix);
@@ -654,6 +657,30 @@ mod tests {
         let mut bad = good.clone();
         bad.phases[0].representative = bad.intervals + 5;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_sums_that_overflow() {
+        // Two weights (or member counts) near u64::MAX whose true sum
+        // wraps around to exactly the expected total: an unchecked sum
+        // panics in debug builds and passes in release builds.
+        let opts = SampleOptions { interval: 5_000, phases: 2, seed: 1 };
+        let good = sample_of(SpecBenchmark::Li, 20_000, &opts);
+        assert_eq!(good.phases.len(), 2);
+        let half = 1u64 << 63;
+        let mut bad = good.clone();
+        bad.phases[0].weight_instructions += half;
+        bad.phases[1].weight_instructions += half;
+        let total =
+            bad.phases[0].weight_instructions.wrapping_add(bad.phases[1].weight_instructions);
+        assert_eq!(total, bad.instructions, "the wrapped sum must look valid");
+        let err = bad.validate().expect_err("overflowing weights must be rejected");
+        assert!(err.contains("overflow"), "{err}");
+        let mut bad = good.clone();
+        bad.phases[0].members += half;
+        bad.phases[1].members += half;
+        let err = bad.validate().expect_err("overflowing members must be rejected");
+        assert!(err.contains("overflow"), "{err}");
     }
 
     #[test]

@@ -4,30 +4,40 @@
 //! every benchmark and every hierarchy organisation, regardless of how
 //! the arena is chunked or how many worker threads replay it.
 //!
-//! These are the acceptance tests for the sweep engine's central claim:
-//! the ≥3× speedup (see `crates/bench/benches/sweep_throughput.rs` and
-//! `BENCH_sweep.json`) is a pure engine optimisation, not a change to
-//! the simulated machine.
+//! These are the acceptance tests for the sweep engines' central claim:
+//! their speedups (see `crates/bench/benches/sweep_throughput.rs` and
+//! `python3 perfbench/run.py`) are pure engine optimisations, not a
+//! change to the simulated machine.
 
 use proptest::prelude::*;
 use tlc_area::AreaModel;
-use tlc_cache::filter::{replay_conventional, replay_exclusive, MissStream};
-use tlc_cache::filter_family::{replay_conventional_family, replay_exclusive_family};
+use tlc_cache::filter::MissStream;
+use tlc_cache::filter_family::L2Family;
 use tlc_cache::{
     naive_replay_conventional, naive_replay_exclusive, Associativity, CacheConfig, L1FrontEnd,
     MemorySystem, ReplacementKind,
 };
 use tlc_core::experiment::{
     capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_dyn,
-    evaluate_family, evaluate_filtered, SimBudget,
+    evaluate_family, DesignPoint, SimBudget,
 };
-use tlc_core::runner::{sweep_arena_threads, sweep_filtered_arena_threads};
+use tlc_core::runner::{sweep_arena_threads, sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{AccessKind, Addr, LineAddr, MemRef, MissEvent, TraceArena, VictimLine};
 
 const BUDGET: SimBudget = SimBudget { instructions: 12_000, warmup_instructions: 3_000 };
+
+/// Per-configuration miss-stream replay: `cfg` as a family of one.
+fn one_member(
+    cfg: &MachineConfig,
+    stream: &MissStream,
+    tm: &TimingModel,
+    am: &AreaModel,
+) -> DesignPoint {
+    evaluate_family(std::slice::from_ref(cfg), stream, tm, am).remove(0)
+}
 
 /// One configuration per `SystemKind` variant: single-level, conventional
 /// two-level, and exclusive two-level.
@@ -93,12 +103,13 @@ fn chunk_size_does_not_change_results() {
 
 /// Miss-stream filtering equivalence: for every benchmark, every
 /// hierarchy kind (single-level, conventional/inclusive-tending,
-/// exclusive victim-swap) and several (L1, L2) geometry pairs, the
-/// filtered engine — L1 simulated once per front-end, L2 replaying only
-/// the captured events — must produce the same `DesignPoint` bit for bit
-/// as both the arena engine and the legacy dyn engine.
+/// exclusive victim-swap) and several (L1, L2) geometry pairs, each
+/// configuration replayed alone as a family of one — L1 simulated once
+/// per front-end, L2 replaying only the captured events — must produce
+/// the same `DesignPoint` bit for bit as both the arena engine and the
+/// legacy dyn engine.
 #[test]
-fn filtered_equivalence() {
+fn one_member_family_equivalence() {
     let tm = TimingModel::paper();
     let am = AreaModel::new();
     for benchmark in SpecBenchmark::ALL {
@@ -117,20 +128,20 @@ fn filtered_equivalence() {
                 }
             }
             for cfg in &configs {
-                let filtered = evaluate_filtered(cfg, &stream, &tm, &am);
+                let member = one_member(cfg, &stream, &tm, &am);
                 let replayed = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
                 assert_eq!(
-                    filtered,
+                    member,
                     replayed,
-                    "{} on {}: filtered engine diverged from arena replay",
+                    "{} on {}: one-member family diverged from arena replay",
                     benchmark.name(),
                     cfg.label()
                 );
                 let legacy = evaluate_dyn(cfg, benchmark, BUDGET, &tm, &am);
                 assert_eq!(
-                    filtered,
+                    member,
                     legacy,
-                    "{} on {}: filtered engine diverged from the dyn engine",
+                    "{} on {}: one-member family diverged from the dyn engine",
                     benchmark.name(),
                     cfg.label()
                 );
@@ -141,8 +152,8 @@ fn filtered_equivalence() {
 
 /// Family-batched equivalence: for every benchmark, evaluating a whole
 /// L2-size family in one pass over the miss stream must reproduce the
-/// per-config filtered engine's `DesignPoint`s — stats and `tpi_ns` —
-/// bit for bit, for single-level, conventional (set-associative and
+/// per-config arena engine's `DesignPoint`s — stats and `tpi_ns` — bit
+/// for bit, for single-level, conventional (set-associative and
 /// direct-mapped fast path) and exclusive families alike.
 #[test]
 fn family_equivalence() {
@@ -171,11 +182,11 @@ fn family_equivalence() {
             for family in &families {
                 let batched = evaluate_family(family, &stream, &tm, &am);
                 for (cfg, got) in family.iter().zip(&batched) {
-                    let want = evaluate_filtered(cfg, &stream, &tm, &am);
+                    let want = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
                     assert_eq!(
                         &want,
                         got,
-                        "{} on {}: family-batched engine diverged from filtered",
+                        "{} on {}: family-batched engine diverged from arena replay",
                         benchmark.name(),
                         cfg.label()
                     );
@@ -185,12 +196,12 @@ fn family_equivalence() {
     }
 }
 
-/// Every replacement policy through every L2 engine: for each
+/// Every replacement policy through the L2 replay: for each
 /// [`ReplacementKind`] (including SRRIP) and both set-associative and
-/// direct-mapped geometries, the family-batched engine must reproduce
-/// the scalar filtered engine bit for bit, and both must match the
-/// hand-verifiable naive oracle — on conventional and exclusive
-/// hierarchies alike.
+/// direct-mapped geometries, a batched family must reproduce each
+/// member replayed alone (the per-configuration, "scalar" replay) bit
+/// for bit, and both must match the hand-verifiable naive oracle — on
+/// conventional and exclusive hierarchies alike.
 #[test]
 fn replacement_policies_agree_family_scalar_and_oracle() {
     for benchmark in [SpecBenchmark::Li, SpecBenchmark::Doduc] {
@@ -203,16 +214,16 @@ fn replacement_policies_agree_family_scalar_and_oracle() {
                     .iter()
                     .map(|&kb| CacheConfig::new(kb * 1024, 16, assoc, repl).expect("valid L2"))
                     .collect();
-                let conv = replay_conventional_family(&cfgs, &stream);
-                let excl = replay_exclusive_family(&cfgs, &stream);
+                let conv = L2Family::conventional(&cfgs, &stream).replay(&stream);
+                let excl = L2Family::exclusive(&cfgs, &stream).replay(&stream);
                 for (cfg, (fam_conv, fam_excl)) in cfgs.iter().zip(conv.iter().zip(&excl)) {
                     let label = format!("{benchmark:?} {repl} {assoc:?} {}B", cfg.size_bytes());
-                    let scalar = replay_conventional(*cfg, &stream);
+                    let scalar = L2Family::conventional(&[*cfg], &stream).replay(&stream)[0];
                     assert_eq!(&scalar, fam_conv, "{label}: conventional family vs scalar");
                     let oracle =
                         naive_replay_conventional(cfg.size_bytes(), cfg.ways(), repl, &stream);
                     assert_eq!(scalar, oracle, "{label}: conventional engine vs naive oracle");
-                    let scalar = replay_exclusive(*cfg, &stream);
+                    let scalar = L2Family::exclusive(&[*cfg], &stream).replay(&stream)[0];
                     assert_eq!(&scalar, fam_excl, "{label}: exclusive family vs scalar");
                     let oracle =
                         naive_replay_exclusive(cfg.size_bytes(), cfg.ways(), repl, &stream);
@@ -226,7 +237,7 @@ fn replacement_policies_agree_family_scalar_and_oracle() {
 /// Non-baseline policies survive the full `DesignPoint` pipeline: a
 /// machine configured with FIFO, tree-PLRU, or SRRIP L2 replacement
 /// must produce identical points from the generator-driven, arena,
-/// filtered, and family-batched engines — and single-level machines
+/// one-member family, and family-batched engines — and single-level machines
 /// (where the knob is inert) ride along in the same mixed family list.
 #[test]
 fn replacement_policies_agree_across_design_point_engines() {
@@ -247,18 +258,18 @@ fn replacement_policies_agree_across_design_point_engines() {
             let family = vec![with_repl(base, repl), with_repl(base, repl), with_repl(base, repl)];
             let batched = evaluate_family(&family, &stream, &tm, &am);
             for (cfg, got) in family.iter().zip(&batched) {
-                let filtered = evaluate_filtered(cfg, &stream, &tm, &am);
+                let member = one_member(cfg, &stream, &tm, &am);
                 assert_eq!(
-                    &filtered,
+                    &member,
                     got,
-                    "{repl} on {}: family-batched engine diverged from filtered",
+                    "{repl} on {}: family-batched engine diverged from a family of one",
                     cfg.label()
                 );
                 let replayed = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
                 assert_eq!(
-                    filtered,
+                    member,
                     replayed,
-                    "{repl} on {}: filtered engine diverged from arena replay",
+                    "{repl} on {}: one-member family diverged from arena replay",
                     cfg.label()
                 );
                 let generated = evaluate(cfg, benchmark, BUDGET, &tm, &am);
@@ -273,10 +284,11 @@ fn replacement_policies_agree_across_design_point_engines() {
     }
 }
 
-/// The filtered sweep is a drop-in replacement for the arena sweep:
-/// same mixed configuration list, any thread count, identical output.
+/// The family sweep is a drop-in replacement for the arena sweep: same
+/// mixed configuration list (singleton and shared L1 groups, several
+/// families per group), any thread count, identical output.
 #[test]
-fn filtered_sweep_matches_arena_sweep_at_any_thread_count() {
+fn family_sweep_matches_arena_sweep_at_any_thread_count() {
     let tm = TimingModel::paper();
     let am = AreaModel::new();
     let configs: Vec<MachineConfig> = hierarchy_kinds()
@@ -290,8 +302,8 @@ fn filtered_sweep_matches_arena_sweep_at_any_thread_count() {
     let arena = capture_benchmark(SpecBenchmark::Doduc, BUDGET);
     let reference = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1);
     for threads in [1usize, 2, 5] {
-        let filtered = sweep_filtered_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
-        assert_eq!(reference, filtered, "threads={threads} changed the filtered sweep");
+        let family = sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
+        assert_eq!(reference, family, "threads={threads} changed the family sweep");
     }
 }
 
@@ -433,7 +445,7 @@ proptest! {
                     .expect("valid DM L2")
             })
             .collect();
-        let stats = replay_conventional_family(&cfgs, &stream);
+        let stats = L2Family::conventional(&cfgs, &stream).replay(&stream);
         for (small, large) in stats.iter().zip(&stats[1..]) {
             prop_assert!(
                 large.l2_misses <= small.l2_misses,

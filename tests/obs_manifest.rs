@@ -1,8 +1,9 @@
 //! Observability acceptance tests: the `tlc-obs` counters and span
-//! trees wired through the sweep pipeline must (a) agree between the
-//! scalar filtered engine and the family-batched engine — the counters
-//! are *measurements of the simulated machine*, so batching must not
-//! change them; (b) nest worker spans under the spawning phase across
+//! trees wired through the sweep pipeline must (a) agree between a
+//! batched family sweep and the same configurations replayed one at a
+//! time as families of one — the counters are *measurements of the
+//! simulated machine*, so batching must not change them; (b) nest
+//! worker spans under the spawning phase across
 //! thread boundaries; (c) propagate worker panics as structured
 //! [`SweepError`]s naming the failing unit; and (d) roll up into a
 //! `tlc-run-manifest/2` document whose arithmetic invariants hold,
@@ -12,10 +13,9 @@
 
 use std::sync::Mutex;
 use tlc_area::AreaModel;
-use tlc_core::experiment::{capture_benchmark, SimBudget};
+use tlc_core::experiment::{capture_benchmark, capture_miss_stream, evaluate_family, SimBudget};
 use tlc_core::runner::{
-    try_sweep_arena_threads, try_sweep_family_arena_threads, try_sweep_filtered_arena_threads,
-    SweepUnit,
+    l1_groups, try_sweep_arena_threads, try_sweep_family_arena_threads, SweepUnit,
 };
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_obs::manifest::{build_span_tree, RunManifest, RunMeta};
@@ -56,13 +56,14 @@ fn measure(sweep: impl FnOnce()) -> [u64; Counter::COUNT] {
     tlc_obs::counters().snapshot()
 }
 
-/// The family-batched engine must report the *same* counter totals as
-/// the scalar filtered engine over the same space: events decoded, L1
-/// hits/misses, L2 probes/hits/misses, writebacks, LFSR draws and
-/// exclusive swaps are all facts about the simulated machine, not about
-/// how the sweep batches its work.
+/// The family-batched sweep must report the *same* counter totals as
+/// the same configurations replayed one at a time, each as a family of
+/// one, over the same captured streams: events decoded, L1 hits/misses,
+/// L2 probes/hits/misses, writebacks, LFSR draws, exclusive swaps and
+/// liveness are all facts about the simulated machine, not about how
+/// the sweep batches its work.
 #[test]
-fn family_and_filtered_engines_report_identical_counters() {
+fn batched_and_one_member_families_report_identical_counters() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     if !tlc_obs::ENABLED {
         return; // nothing to measure in the no-op build
@@ -71,9 +72,14 @@ fn family_and_filtered_engines_report_identical_counters() {
     let am = AreaModel::new();
     let configs = mixed_space();
     let arena = capture();
-    let scalar = measure(|| {
-        try_sweep_filtered_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1)
-            .expect("filtered sweep succeeds");
+    let one_member = measure(|| {
+        for ((l1, line), idxs) in l1_groups(&configs) {
+            let stream = capture_miss_stream(l1, line, &arena, BUDGET, usize::MAX)
+                .expect("unbounded capture succeeds");
+            for i in idxs {
+                evaluate_family(std::slice::from_ref(&configs[i]), &stream, &tm, &am);
+            }
+        }
     });
     let family = measure(|| {
         try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 2)
@@ -87,15 +93,15 @@ fn family_and_filtered_engines_report_identical_counters() {
             continue;
         }
         assert_eq!(
-            scalar[c as usize],
+            one_member[c as usize],
             family[c as usize],
-            "counter {} diverged between filtered and family engines",
+            "counter {} diverged between batched and one-member families",
             c.name()
         );
     }
     assert!(
-        family[Counter::L2EventsReplayed as usize] < scalar[Counter::L2EventsReplayed as usize],
-        "family batching must replay fewer events than per-config filtering"
+        family[Counter::L2EventsReplayed as usize] < one_member[Counter::L2EventsReplayed as usize],
+        "family batching must replay fewer events than one-member families"
     );
     // And the totals are live: a space this size must decode events,
     // probe the L2s, and draw from the LFSR for the 4-way L2s.

@@ -94,7 +94,7 @@ fn predicted_miss_ratios_meet_epsilon_on_all_benchmarks() {
             assert_eq!(predicted.len(), cfgs.len());
             for (cfg, got) in cfgs.iter().zip(&predicted) {
                 // Ground truth: the family engine over the singleton
-                // family, bit-identical to filtered/arena replay.
+                // family, bit-identical to arena replay.
                 let want = &evaluate_family(std::slice::from_ref(cfg), &stream, &tm, &am)[0];
                 assert_contract(benchmark, cfg, got, want);
             }
