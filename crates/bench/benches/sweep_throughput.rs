@@ -1,7 +1,8 @@
-//! Sweep-engine throughput: regenerate-per-configuration streaming vs
-//! capture-once/replay-many arena, over a real slice of the design
-//! space. The arena's advantage grows with the number of configurations
-//! sharing one capture, so the benchmark sweeps the config count too.
+//! Per-configuration arena sweep throughput over a real slice of the
+//! design space: capture once and replay per configuration, and replay
+//! alone against a shared capture. The capture amortises over the
+//! configurations sharing it, so the benchmark sweeps the config count
+//! too.
 //!
 //! The end-to-end and per-layer numbers of the whole pipeline come from
 //! `python3 perfbench/run.py`.
@@ -10,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tlc_area::AreaModel;
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, SimBudget};
-use tlc_core::runner::{default_threads, sweep_arena_threads, sweep_streaming_threads};
+use tlc_core::runner::{default_threads, try_sweep_arena_threads};
 use tlc_core::L2Policy;
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -35,22 +36,10 @@ fn bench_sweep_engines(c: &mut Criterion) {
         let instructions =
             (BUDGET.warmup_instructions + BUDGET.instructions) * configs.len() as u64;
         group.throughput(Throughput::Elements(instructions));
-        group.bench_function(BenchmarkId::new("streaming", configs.len()), |b| {
-            b.iter(|| {
-                sweep_streaming_threads(
-                    configs,
-                    SpecBenchmark::Espresso,
-                    BUDGET,
-                    &timing,
-                    &area,
-                    threads,
-                )
-            })
-        });
         group.bench_function(BenchmarkId::new("arena_capture_and_replay", configs.len()), |b| {
             b.iter(|| {
                 let arena = capture_benchmark(SpecBenchmark::Espresso, BUDGET);
-                sweep_arena_threads(configs, &arena, BUDGET, &timing, &area, threads)
+                try_sweep_arena_threads(configs, &arena, BUDGET, &timing, &area, threads)
             })
         });
     }
@@ -64,7 +53,7 @@ fn bench_sweep_engines(c: &mut Criterion) {
         (BUDGET.warmup_instructions + BUDGET.instructions) * configs.len() as u64,
     ));
     group.bench_function(BenchmarkId::new("arena_replay_only", configs.len()), |b| {
-        b.iter(|| sweep_arena_threads(configs, &arena, BUDGET, &timing, &area, threads))
+        b.iter(|| try_sweep_arena_threads(configs, &arena, BUDGET, &timing, &area, threads))
     });
     group.finish();
 }

@@ -13,7 +13,7 @@ use tlc_bench::Harness;
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, SimBudget};
 use tlc_core::report::points_csv;
-use tlc_core::runner::sweep_arena_threads;
+use tlc_core::runner::try_sweep_arena_threads;
 use tlc_core::L2Policy;
 use tlc_obs::manifest::{build_span_tree, span_line, RunManifest, RunMeta};
 use tlc_trace::spec::SpecBenchmark;
@@ -48,14 +48,15 @@ fn dump_csv(dir: &std::path::Path, harness: &Harness) -> std::io::Result<()> {
                     ..SpaceOptions::baseline()
                 };
                 let configs = full_space(&opts);
-                let points = sweep_arena_threads(
+                let points = try_sweep_arena_threads(
                     &configs,
                     &arena,
                     harness.budget,
                     &harness.timing,
                     &harness.area,
                     harness.threads,
-                );
+                )
+                .map_err(|e| std::io::Error::other(e.to_string()))?;
                 let name = format!("{}_{}ns_{}.csv", b.name(), offchip as u32, policy_name);
                 let path = dir.join(&name);
                 std::fs::write(&path, points_csv(&points))?;

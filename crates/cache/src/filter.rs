@@ -116,21 +116,8 @@ impl L1FrontEnd {
     /// Finishes the capture, packaging the event stream, the warm-up
     /// boundary, and the measured-window L1-side statistics into a
     /// shareable [`MissStream`] named after the captured workload.
-    pub fn finish(self, name: &str) -> MissStream {
-        // Every miss (and only a miss) pushed one event, so the
-        // hits/misses/decoded invariant holds by construction.
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterEventsDecoded, self.total_refs);
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Misses, self.events.len());
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Hits, self.total_refs - self.events.len());
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterEventBytes, self.events.bytes() as u64);
-        MissStream {
-            name: name.to_string(),
-            events: self.events,
-            warmup_events: self.warmup_events,
-            l1_stats: self.stats,
-            l1_size_bytes: self.l1i.config().size_bytes(),
-            line_bytes: self.line_bytes,
-        }
+    pub fn finish(mut self, name: &str) -> MissStream {
+        self.take_stream(name)
     }
 
     /// Splits everything captured so far off into a [`MissStream`] —
@@ -143,8 +130,11 @@ impl L1FrontEnd {
     /// one front-end replays every representative phase slice in trace
     /// order, `take_stream` cuts a segment per slice, and the segments
     /// inherit L1 state across the gaps instead of restarting cold.
+    ///
+    /// Flushes the segment's `filter.*` counters. Every miss (and only a
+    /// miss) pushed one event, so the hits/misses/decoded invariant holds
+    /// by construction.
     pub fn take_stream(&mut self, name: &str) -> MissStream {
-        // Same counter flush as `finish`, scoped to this segment.
         tlc_obs::obs_count!(tlc_obs::Counter::FilterEventsDecoded, self.total_refs);
         tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Misses, self.events.len());
         tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Hits, self.total_refs - self.events.len());

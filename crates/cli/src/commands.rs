@@ -7,15 +7,16 @@ use tlc_area::{AreaModel, CacheGeometry, CellKind};
 use tlc_cache::{ReplacementKind, StackDistanceProfiler};
 use tlc_core::audit::{run_audit, AuditOptions};
 use tlc_core::configspace::{full_space, SpaceOptions};
-use tlc_core::experiment::capture_benchmark;
-use tlc_core::experiment::{simulate_source, SimBudget};
+use tlc_core::experiment::{capture_benchmark, l1_config, l2_config, simulate_source, SimBudget};
 use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
     default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads,
-    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_streaming_threads,
-    try_sweep_threads, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
+    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_threads,
+    ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
 };
-use tlc_core::sampling::{capture_phase_slices, sample_source, PhaseSample, SampleOptions};
+use tlc_core::sampling::{
+    capture_phase_slices, sample_source, PhaseSample, PhaseSlice, SampleOptions,
+};
 use tlc_core::tpi::tpi_ns;
 use tlc_core::{evaluate, L2Policy, MachineConfig, MachineTiming};
 use tlc_obs::manifest::{fnv1a64, RunManifest, RunMeta};
@@ -30,7 +31,7 @@ use tlc_trace::{ImportFormat, InstructionSource, TraceArena, TraceReader, TraceS
 pub fn usage() -> String {
     "tlc — the two-level on-chip caching study (Jouppi & Wilton, WRL 93/3)\n\
      \n\
-     usage: tlc <command> [options]\n\
+     usage: tlc <command> [options]   (--help or -h anywhere prints this text)\n\
      \n\
      commands:\n\
      \u{20} evaluate   evaluate one configuration on one workload\n\
@@ -40,7 +41,7 @@ pub fn usage() -> String {
      \u{20} sweep      sweep the paper's configuration space on one workload\n\
      \u{20}            --workload gcc1 [--offchip 50] [--ways 4] [--policy ...] [--csv] [--instr N]\n\
      \u{20}            [--l2-repl lru|fifo|pseudo-random|tree-plru|srrip]  L2 replacement policy\n\
-     \u{20}            [--engine auto|streaming|arena|family|predict] [--threads N]\n\
+     \u{20}            [--engine auto|arena|family|predict] [--threads N]\n\
      \u{20}            [--metrics out.json]  write a tlc-run-manifest/2 document\n\
      \u{20}            [--trace-out t.json]  Chrome trace-event timeline (open in ui.perfetto.dev)\n\
      \u{20}            [--progress]          live configs-done/ETA/events-per-second ticker on stderr\n\
@@ -105,9 +106,28 @@ fn parse_l2_repl(args: &ArgMap) -> Result<ReplacementKind, ArgError> {
     }
 }
 
+/// `--offchip`: the off-chip latency in ns, finite and non-negative.
+fn parse_offchip(args: &ArgMap) -> Result<f64, ArgError> {
+    let ns: f64 = args.get_or("offchip", 50.0)?;
+    if !ns.is_finite() || ns < 0.0 {
+        return Err(ArgError(format!("--offchip must be a finite latency >= 0 ns, got {ns}")));
+    }
+    Ok(ns)
+}
+
+/// `--instr`: measured instructions, at least one (an empty measurement
+/// has no TPI and no miss ratio).
+fn parse_instr(args: &ArgMap, default: u64) -> Result<u64, ArgError> {
+    let n = args.get_or("instr", default)?;
+    if n == 0 {
+        return Err(ArgError("--instr must be at least 1".into()));
+    }
+    Ok(n)
+}
+
 fn parse_machine(args: &ArgMap) -> Result<MachineConfig, ArgError> {
     let l1: u64 = args.get_or("l1", 8)?;
-    let offchip: f64 = args.get_or("offchip", 50.0)?;
+    let offchip = parse_offchip(args)?;
     let l2: u64 = args.get_or("l2", 0)?;
     let ways: u32 = args.get_or("ways", 4)?;
     let policy = match args.get("policy").unwrap_or("conventional") {
@@ -127,12 +147,14 @@ fn parse_machine(args: &ArgMap) -> Result<MachineConfig, ArgError> {
     if args.flag("dual") {
         cfg = cfg.with_l1_cell(CellKind::DualPorted);
     }
+    l1_config(&cfg).map_err(|e| ArgError(format!("--l1 {l1}: {e}")))?;
+    l2_config(&cfg).map_err(|e| ArgError(format!("--l2 {l2} --ways {ways}: {e}")))?;
     Ok(cfg)
 }
 
 fn parse_budget(args: &ArgMap) -> Result<SimBudget, ArgError> {
     let mut b = SimBudget::standard();
-    b.instructions = args.get_or("instr", b.instructions)?;
+    b.instructions = parse_instr(args, b.instructions)?;
     b.warmup_instructions = args.get_or("warmup", b.warmup_instructions)?;
     Ok(b)
 }
@@ -211,14 +233,14 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
             // Trace mode defaults to the whole stream with no warm-up
             // discard; in sampled mode --warmup primes each slice instead.
             let budget = SimBudget {
-                instructions: args.get_or("instr", u64::MAX)?,
+                instructions: parse_instr(args, u64::MAX)?,
                 warmup_instructions: args.get_or("warmup", 0)?,
             };
             (SweepInput::Trace { reader: Box::new(reader), sample }, name, budget)
         }
     };
     let ways: u32 = args.get_or("ways", 4)?;
-    let offchip: f64 = args.get_or("offchip", 50.0)?;
+    let offchip = parse_offchip(args)?;
     let policy = match args.get("policy").unwrap_or("conventional") {
         "conventional" => L2Policy::Conventional,
         "exclusive" => L2Policy::Exclusive,
@@ -240,32 +262,26 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         return Err(ArgError("--threads must be at least 1".into()));
     }
     let engine = args.get("engine").unwrap_or("auto").to_string();
-    if !["auto", "streaming", "arena", "family", "predict"].contains(&engine.as_str()) {
+    if !["auto", "arena", "family", "predict"].contains(&engine.as_str()) {
         return Err(ArgError(format!(
-            "unknown engine {engine:?}; choose auto, streaming, arena, family or predict"
+            "unknown engine {engine:?}; choose auto, arena, family or predict"
         )));
     }
-    match &input {
-        SweepInput::Trace { sample: Some(_), .. }
-            if !["auto", "family"].contains(&engine.as_str()) =>
-        {
-            return Err(ArgError(format!(
-                "--sample replays phases through the family engine; --engine {engine} does not \
-                 apply"
-            )));
-        }
-        SweepInput::Trace { .. } if engine == "streaming" => {
-            return Err(ArgError(
-                "--engine streaming regenerates a synthetic workload; a --trace sweep always \
-                 replays the captured stream (use auto, arena, family or predict)"
-                    .into(),
-            ));
-        }
-        _ => {}
+    if matches!(&input, SweepInput::Trace { sample: Some(_), .. })
+        && !["auto", "family"].contains(&engine.as_str())
+    {
+        return Err(ArgError(format!(
+            "--sample replays phases through the family engine; --engine {engine} does not apply"
+        )));
     }
     let metrics_path = args.get("metrics").map(str::to_string);
     let trace_out_path = args.get("trace-out").map(str::to_string);
     let configs = full_space(&opts);
+    // The space's L1s are always valid; its L2s are only as valid as
+    // --ways (and --l2-repl's way limits) make them.
+    for cfg in &configs {
+        l2_config(cfg).map_err(|e| ArgError(format!("--ways {ways}: {e} (at {cfg})")))?;
+    }
 
     // One observability epoch per sweep: counters and spans drained by
     // this run's manifest must not include a previous run's.
@@ -285,14 +301,12 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                 };
                 match engine.as_str() {
                     // The default heuristic: family-batched miss-stream
-                    // filtering over a captured arena, streaming when the
-                    // capture would be enormous.
+                    // filtering over a captured arena, generating the
+                    // stream per configuration when the capture would be
+                    // enormous.
                     "auto" => {
                         try_sweep_threads(&configs, benchmark, budget, &timing, &area, threads)
                     }
-                    "streaming" => try_sweep_streaming_threads(
-                        &configs, benchmark, budget, &timing, &area, threads,
-                    ),
                     "arena" => {
                         let arena = capture("arena_capture");
                         try_sweep_arena_threads(&configs, &arena, budget, &timing, &area, threads)
@@ -323,12 +337,14 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                     let _span = tlc_obs::PhaseSpan::enter("slice_capture");
                     capture_phase_slices(&mut *reader, &sample, budget.warmup_instructions)
                 };
-                match reader.take_error() {
-                    Some(e) => {
-                        trace_error = Some(e.to_string());
-                        Ok(Vec::new())
-                    }
-                    None => try_sweep_sampled_threads(&configs, &slices, &timing, &area, threads),
+                trace_error = match reader.take_error() {
+                    Some(e) => Some(e.to_string()),
+                    None => selection_misfit(&sample, &slices, &mut reader),
+                };
+                if trace_error.is_some() {
+                    Ok(Vec::new())
+                } else {
+                    try_sweep_sampled_threads(&configs, &slices, &timing, &area, threads)
                 }
             }
             SweepInput::Trace { mut reader, sample: None } => {
@@ -434,6 +450,43 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     Ok(out)
 }
 
+/// Why a phase selection does not fit the trace it is applied to, if it
+/// does not: a representative slice captured short of its interval, or
+/// a trace shorter than the instructions the selection weighs. Either
+/// would silently reweight the recombination. Reads the trace on to the
+/// selection's length to check the latter.
+fn selection_misfit(
+    sample: &PhaseSample,
+    slices: &[PhaseSlice],
+    reader: &mut TraceReader<std::io::BufReader<std::fs::File>>,
+) -> Option<String> {
+    for (phase, slice) in sample.phases.iter().zip(slices) {
+        let start = phase.representative * sample.interval;
+        let want = sample.interval.min(sample.instructions - start);
+        if slice.budget.instructions < want {
+            return Some(format!(
+                "--sample: the phase at interval {} measures {} of its {want} instructions; the \
+                 selection ({} instructions) does not fit this trace",
+                phase.representative, slice.budget.instructions, sample.instructions
+            ));
+        }
+    }
+    while reader.decoded() < sample.instructions {
+        match reader.try_next() {
+            Ok(Some(_)) => {}
+            Ok(None) => {
+                return Some(format!(
+                    "--sample: the selection covers {} instructions but the trace holds only {}",
+                    sample.instructions,
+                    reader.decoded()
+                ))
+            }
+            Err(e) => return Some(e.to_string()),
+        }
+    }
+    None
+}
+
 /// Deterministic identity of a swept configuration space: FNV-1a 64
 /// over its JSON serialization, hex-encoded. Ties a manifest to the
 /// exact design points it measured (the std hasher is randomly seeded
@@ -491,7 +544,7 @@ impl ProgressTicker {
                 } else {
                     String::new()
                 };
-                // The arena/streaming engines feed neither filter nor
+                // The per-configuration engines feed neither filter nor
                 // replay counters; leave throughput off rather than
                 // reporting a misleading zero.
                 let rate = if events > 0 {
@@ -558,7 +611,7 @@ impl AuditTicker {
 /// `tlc profile`.
 pub fn cmd_profile(args: &ArgMap) -> Result<String, ArgError> {
     let benchmark = parse_workload(args)?;
-    let n: u64 = args.get_or("instr", 500_000)?;
+    let n = parse_instr(args, 500_000)?;
     let mut w = benchmark.workload();
     let mut pi = StackDistanceProfiler::new();
     let mut pd = StackDistanceProfiler::new();
@@ -1119,6 +1172,9 @@ fn cmd_trace_info(args: &ArgMap) -> Result<String, ArgError> {
 
 /// Dispatches a full command line (without argv\[0\]).
 pub fn dispatch(raw: Vec<String>) -> Result<String, ArgError> {
+    if raw.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(usage());
+    }
     let flags = ["csv", "dual", "detailed", "quick", "progress"];
     let args = ArgMap::parse(raw, &flags)?;
     let cmd = args.positional(0).unwrap_or("help");
@@ -1133,7 +1189,7 @@ pub fn dispatch(raw: Vec<String>) -> Result<String, ArgError> {
         "runs" => cmd_runs(&args),
         "trace" => cmd_trace(&args),
         "list" => Ok(cmd_list()),
-        "help" | "--help" | "-h" => Ok(usage()),
+        "help" => Ok(usage()),
         other => Err(ArgError(format!("unknown command {other:?}\n\n{}", usage()))),
     }
 }
@@ -1160,6 +1216,67 @@ mod tests {
     }
 
     #[test]
+    fn help_flags_print_usage() {
+        for argv in [&["--help"][..], &["-h"], &["sweep", "--help"], &["evaluate", "-h"]] {
+            let out = run(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            assert!(out.starts_with("tlc "), "{argv:?} prints usage");
+        }
+    }
+
+    #[test]
+    fn bad_inputs_are_typed_errors_naming_their_flag() {
+        let table: &[(&[&str], &str)] = &[
+            (&["evaluate", "--workload", "li", "--l1", "3"], "--l1"),
+            (&["evaluate", "--workload", "li", "--l2", "64", "--ways", "3"], "--ways"),
+            (&["evaluate", "--workload", "li", "--instr", "0"], "--instr"),
+            (&["evaluate", "--workload", "li", "--offchip", "inf"], "--offchip"),
+            (&["sweep", "--workload", "li", "--offchip", "nan"], "--offchip"),
+            (&["sweep", "--workload", "li", "--offchip", "-5"], "--offchip"),
+            (&["sweep", "--workload", "li", "--ways", "0"], "--ways"),
+            (&["sweep", "--workload", "li", "--ways", "1024"], "--ways"),
+            (&["sweep", "--workload", "li", "--instr", "0"], "--instr"),
+            (&["profile", "--workload", "li", "--instr", "0"], "--instr"),
+        ];
+        for (argv, flag) in table {
+            let msg = run(argv).expect_err("bad input must fail").to_string();
+            assert!(msg.contains(flag), "{argv:?}: {msg:?} does not name {flag}");
+            assert!(!msg.contains("panicked"), "{argv:?}: {msg:?}");
+        }
+    }
+
+    #[test]
+    fn sample_selection_must_fit_the_trace() {
+        let dir = std::env::temp_dir().join(format!("tlc-misfit-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/phased_trace.txt");
+        let path = |name: &str| dir.join(name).to_str().expect("utf8").to_string();
+        let (full, short, phases, whole) =
+            (path("full.trc"), path("short.trc"), path("phases.json"), path("whole.json"));
+        run(&["trace", "import", fixture, &full]).expect("import");
+        run(&["trace", "import", fixture, &short, "--limit", "600"]).expect("short import");
+        let argv = ["trace", "sample", &full, "--interval", "500", "--k", "3", "--seed", "0xC1"];
+        run(&[&argv[..], &["--out", &phases]].concat()).expect("sample");
+        let sweep = |trace: &str, sample: &str| {
+            run(&["sweep", "--trace", trace, "--sample", sample, "--warmup", "250", "--csv"])
+        };
+        sweep(&full, &phases).expect("the selection fits its own trace");
+        let e = sweep(&short, &phases).expect_err("phases past the trace end").to_string();
+        assert!(e.contains("--sample") && e.contains("does not fit"), "{e}");
+        // One phase whose slice fits, weighing more than the trace holds.
+        let mut one = PhaseSample::from_json(&std::fs::read_to_string(&phases).expect("json"))
+            .expect("parses");
+        one.phases = vec![tlc_core::sampling::PhaseInfo {
+            representative: 0,
+            members: one.intervals,
+            weight_instructions: one.instructions,
+        }];
+        std::fs::write(&whole, one.to_json()).expect("write selection");
+        let e = sweep(&short, &whole).expect_err("selection longer than trace").to_string();
+        assert!(e.contains("holds only 600"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn audit_small_run_is_clean_and_writes_json() {
         let dir = std::env::temp_dir().join(format!("tlc-audit-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1175,7 +1292,7 @@ mod tests {
         ])
         .expect("audit");
         assert!(out.contains("clean"));
-        assert!(out.contains("streaming/dyn/arena/family/predict"));
+        assert!(out.contains("arena/family/predict/sampled"));
         let doc: tlc_core::audit::AuditReport =
             serde_json::from_str(&std::fs::read_to_string(&json).expect("json written"))
                 .expect("valid report json");
@@ -1350,7 +1467,7 @@ mod tests {
             "--engine",
         ];
         let mut outputs = Vec::new();
-        for engine in ["auto", "streaming", "arena", "family"] {
+        for engine in ["auto", "arena", "family"] {
             let mut argv: Vec<&str> = base.to_vec();
             argv.push(engine);
             outputs.push(run(&argv).unwrap_or_else(|e| panic!("engine {engine}: {e:?}")));
@@ -1358,8 +1475,9 @@ mod tests {
         for o in &outputs[1..] {
             assert_eq!(&outputs[0], o, "engines must produce identical sweeps");
         }
-        // The retired `filtered` engine name is rejected like any other.
-        for bad in ["warp", "filtered"] {
+        // The retired `filtered` and `streaming` engine names are
+        // rejected like any other.
+        for bad in ["warp", "filtered", "streaming"] {
             let mut argv: Vec<&str> = base.to_vec();
             argv.push(bad);
             let err = run(&argv).expect_err("unknown engine must be rejected");

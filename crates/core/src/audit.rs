@@ -1,23 +1,19 @@
 //! `tlc audit` — randomized differential fuzzing of the sweep engines.
 //!
-//! The repository's soundness argument is that four replay engines —
-//! streaming ([`simulate_source`](crate::experiment::simulate_source)),
-//! the legacy trait-object path
-//! ([`simulate_source_dyn`]), the
-//! devirtualized arena replay
-//! ([`simulate_arena`]) and
-//! family-batched miss-stream replay
-//! ([`simulate_family`], including the
+//! The repository's soundness argument is that its exact replay
+//! engines — per-configuration arena replay ([`simulate_arena`]),
+//! family-batched miss-stream replay ([`simulate_family`], including the
 //! direct-mapped threshold fast path; a family of one is the
-//! per-configuration replay) — are *bit-identical*. This module stops
-//! that from being "engines agreeing with themselves": every sampled case
-//! is also run through the deliberately-naive reference oracle
-//! ([`tlc_cache::NaiveSystem`], [`tlc_cache::oracle`]) and the Mattson
-//! stack-distance oracles ([`tlc_cache::StackDistanceProfiler`],
-//! [`tlc_cache::NestedDmProfiler`]), which predict the same counters from
-//! first principles. The fifth engine — the analytical predictor
-//! ([`simulate_predicted`](crate::experiment::simulate_predicted)) — is
-//! deliberately *not* bit-identical; it is audited against its own
+//! per-configuration replay) and the stitched multi-segment replay of
+//! sampled sweeps ([`simulate_family_segments`]) — are *bit-identical*.
+//! This module stops that from being "engines agreeing with themselves":
+//! every sampled case is also run through the deliberately-naive
+//! reference oracle ([`tlc_cache::NaiveSystem`], [`tlc_cache::oracle`])
+//! and the Mattson stack-distance oracles
+//! ([`tlc_cache::StackDistanceProfiler`], [`tlc_cache::NestedDmProfiler`]),
+//! which predict the same counters from first principles. The analytical
+//! predictor ([`simulate_predicted`](crate::experiment::simulate_predicted))
+//! is deliberately *not* bit-identical; it is audited against its own
 //! tolerance contract instead (`predict-vs-family`,
 //! [`PREDICT_AUDIT_EPSILON`]).
 //!
@@ -31,11 +27,13 @@
 //! for `tests/corpus_replay.rs` to replay forever after.
 
 use crate::experiment::{
-    l2_config, simulate_arena, simulate_family, simulate_source_dyn, simulate_source_on,
-    try_build_system_kind, try_capture_miss_stream, SimBudget,
+    capture_miss_stream, capture_miss_stream_segments, l2_config, replay_arena_on, simulate_arena,
+    simulate_family, simulate_family_segments, simulate_source_on, try_build_system_kind,
+    SimBudget,
 };
 use crate::machine::{L2Policy, L2Spec, MachineConfig};
 use crate::runner::try_sweep_arena_threads;
+use crate::sampling::PhaseSlice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -213,6 +211,9 @@ struct SampledCase {
     records: u64,
     chunk_len: usize,
     threads: usize,
+    /// Measured instructions in the first of the two stitched segments
+    /// the `stitched-vs-arena` check cuts the window into.
+    cut: u64,
 }
 
 fn sample_case(rng: &mut StdRng) -> SampledCase {
@@ -254,6 +255,7 @@ fn sample_case(rng: &mut StdRng) -> SampledCase {
         records,
         chunk_len: [57usize, 301, 1024, 1 << 14][rng.gen_range(0..4usize)],
         threads: rng.gen_range(1usize..4),
+        cut: rng.gen_range(0..instructions + 1),
     }
 }
 
@@ -447,6 +449,50 @@ fn family_siblings(cfg: &MachineConfig) -> Vec<MachineConfig> {
         .collect()
 }
 
+/// The configuration's hierarchy after an arena replay of the case
+/// window, for the checks that inspect resident contents.
+fn replayed_system(cfg: &MachineConfig, arena: &TraceArena, budget: SimBudget) -> SystemKind {
+    let mut sys = try_build_system_kind(cfg).expect("sampled geometry is valid");
+    replay_arena_on(&mut sys, arena, budget);
+    sys
+}
+
+/// The case window cut after `case.cut` measured instructions into two
+/// contiguous [`PhaseSlice`]s, captured with stitched warming and
+/// replayed as a one-member family; returns the per-segment measured
+/// statistics summed.
+fn stitched_sum(case: &SampledCase, records: &[InstructionRecord]) -> HierarchyStats {
+    let budget = case.budget;
+    let split = (budget.warmup_instructions + case.cut).min(records.len() as u64) as usize;
+    let end = (budget.warmup_instructions + budget.instructions).min(records.len() as u64) as usize;
+    let slice = |range: std::ops::Range<usize>, window: SimBudget| PhaseSlice {
+        arena: TraceArena::capture_chunked(
+            &mut replay_source(case, &records[range]),
+            u64::MAX,
+            case.chunk_len,
+        ),
+        budget: window,
+        weight: 1.0,
+        representative: 0,
+    };
+    let slices = [
+        slice(0..split, SimBudget { instructions: case.cut, ..budget }),
+        slice(
+            split..end,
+            SimBudget { instructions: budget.instructions - case.cut, warmup_instructions: 0 },
+        ),
+    ];
+    let cfg = &case.cfg;
+    let segments =
+        capture_miss_stream_segments(cfg.l1_size_bytes, cfg.line_bytes, &slices, usize::MAX)
+            .expect("unbounded capture succeeds");
+    let mut sum = HierarchyStats::default();
+    for row in simulate_family_segments(std::slice::from_ref(cfg), &segments) {
+        sum += row[0];
+    }
+    sum
+}
+
 /// Runs one sampled case through every engine and oracle, updating the
 /// ledger. Returns the number of engine comparisons performed.
 fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &mut Ledger) {
@@ -477,27 +523,7 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
     };
     let oracle = simulate_source_on(&mut naive, &mut replay_source(case, &records), budget);
 
-    // Engine 1+2: streaming enum dispatch and the legacy trait-object
-    // path. The streaming system is kept for the content check below.
-    let mut streaming_sys = try_build_system_kind(cfg).expect("sampled geometry is valid");
-    let streaming =
-        simulate_source_on(&mut streaming_sys, &mut replay_source(case, &records), budget);
-    let dyn_stats = simulate_source_dyn(cfg, &mut replay_source(case, &records), budget);
-    for (name, got) in [("streaming-vs-oracle", streaming), ("dyn-vs-oracle", dyn_stats)] {
-        let diverged = got != oracle;
-        ledger.tally(name, diverged);
-        if diverged {
-            ledger.record(
-                case_index,
-                name,
-                case,
-                format!("engine {got:?} != oracle {oracle:?}"),
-                None,
-            );
-        }
-    }
-
-    // Engine 3: devirtualized arena replay, plus chunk-size invariance.
+    // Devirtualized arena replay, plus chunk-size invariance.
     let arena =
         TraceArena::capture_chunked(&mut replay_source(case, &records), u64::MAX, case.chunk_len);
     let arena_stats = simulate_arena(cfg, &arena, budget);
@@ -531,13 +557,11 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
         );
     }
 
-    // Engine 4 needs a captured miss stream (direct-mapped L1 front-end).
-    // The sampled configuration alone, as a one-member family, against
-    // the per-access oracle.
-    let stream =
-        try_capture_miss_stream(cfg.l1_size_bytes, cfg.line_bytes, &arena, budget, usize::MAX)
-            .expect("sampled L1 geometries are valid")
-            .expect("unbounded capture succeeds");
+    // Family replay needs a captured miss stream (direct-mapped L1
+    // front-end). The sampled configuration alone, as a one-member
+    // family, against the per-access oracle.
+    let stream = capture_miss_stream(cfg.l1_size_bytes, cfg.line_bytes, &arena, budget, usize::MAX)
+        .expect("unbounded capture succeeds");
     let member = simulate_family(std::slice::from_ref(cfg), &stream)[0];
     let diverged = member != oracle;
     ledger.tally("family1-vs-oracle", diverged);
@@ -573,6 +597,27 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
         }
     }
     ledger.tally("family-vs-oracle", family_diverged);
+
+    // Stitched replay, as sampled sweeps run it: the window cut into two
+    // contiguous phase slices (the second without a warm-up prefix), one
+    // L1 front-end and one L2 family carried across both. The measured
+    // segments tile the window, so their sum must be the arena replay.
+    let stitched = stitched_sum(case, &records);
+    let diverged = stitched != arena_stats;
+    ledger.tally("stitched-vs-arena", diverged);
+    if diverged {
+        ledger.record(
+            case_index,
+            "stitched-vs-arena",
+            case,
+            format!(
+                "segments cut after {} measured instructions summed to {stitched:?}, arena \
+                 replay {arena_stats:?}",
+                case.cut
+            ),
+            None,
+        );
+    }
 
     // The analytical predictor against the family-replayed ground truth
     // it advertises a tolerance contract for. Exclusive samples and
@@ -678,16 +723,17 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
     }
 
     // Content check: the final resident-line sets of every level must be
-    // bit-identical between the streaming engine and the naive oracle —
-    // stronger than counter equality, since content drift can cancel out
-    // in the statistics for a while before changing a count.
+    // bit-identical between the arena-replayed hierarchy and the naive
+    // oracle — stronger than counter equality, since content drift can
+    // cancel out in the statistics for a while before changing a count.
+    let arena_sys = replayed_system(cfg, &arena, budget);
     let real_content = {
         let lines = |c: &tlc_cache::Cache| {
             let mut v: Vec<u64> = c.iter_lines().map(|l| l.0).collect();
             v.sort_unstable();
             v
         };
-        match &streaming_sys {
+        match &arena_sys {
             SystemKind::Single(s) => (lines(s.l1i()), lines(s.l1d()), Vec::new()),
             SystemKind::Conventional(s) => (lines(s.l1i()), lines(s.l1d()), lines(s.l2())),
             SystemKind::Exclusive(s) => (lines(s.l1i()), lines(s.l1d()), lines(s.l2())),
@@ -725,10 +771,8 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
             l2: cfg.l2.map(|s| L2Spec { policy: L2Policy::Conventional, ..s }),
             ..*cfg
         };
-        let mut conv_sys = try_build_system_kind(&conv_cfg).expect("sampled geometry is valid");
-        simulate_source_on(&mut conv_sys, &mut replay_source(case, &records), budget);
-        if let (SystemKind::Exclusive(e), SystemKind::Conventional(c)) = (&streaming_sys, &conv_sys)
-        {
+        let conv_sys = replayed_system(&conv_cfg, &arena, budget);
+        if let (SystemKind::Exclusive(e), SystemKind::Conventional(c)) = (&arena_sys, &conv_sys) {
             let excl = DuplicationReport::measure(e.l1i(), e.l1d(), e.l2());
             let conv = DuplicationReport::measure(c.l1i(), c.l1d(), c.l2());
             let diverged = excl.duplicated > conv.duplicated;
@@ -887,7 +931,7 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         requested_seconds: opts.seconds,
         elapsed_seconds: started.elapsed().as_secs_f64(),
         cases,
-        engines: ["streaming", "dyn", "arena", "family", "predict"].map(String::from).to_vec(),
+        engines: ["arena", "family", "predict", "sampled"].map(String::from).to_vec(),
         checks: ledger.checks,
         divergences: ledger.divergences,
     }

@@ -13,7 +13,7 @@
 //! Area grows by a per-bank wiring/port overhead instead of the cell
 //! doubling of §6.
 
-use crate::experiment::{simulate, SimBudget};
+use crate::experiment::{simulate_source, SimBudget};
 use crate::machine::{MachineConfig, MachineTiming};
 use crate::tpi;
 use serde::{Deserialize, Serialize};
@@ -111,7 +111,7 @@ pub fn evaluate_banked(
     area: &AreaModel,
 ) -> BankedPoint {
     let mut workload = benchmark.workload();
-    let stats = simulate(base, &mut workload, budget);
+    let stats = simulate_source(base, &mut workload, budget);
     let mut t = MachineTiming::derive(base, timing, area);
 
     let p = measure_conflict_rate(benchmark, 100_000, params.banks, base.line_bytes);

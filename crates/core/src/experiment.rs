@@ -15,7 +15,7 @@ use tlc_cache::{HierarchyStats, L1FrontEnd, MemorySystem, MissStream, SystemKind
 use tlc_timing::TimingModel;
 use tlc_trace::arena::{ChunkView, FLAG_NONE, FLAG_STORE};
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::{Addr, InstructionSource, MemRef, TraceArena, Workload};
+use tlc_trace::{Addr, InstructionSource, MemRef, TraceArena};
 
 /// How long to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -149,17 +149,6 @@ pub fn build_system_kind(cfg: &MachineConfig) -> SystemKind {
     try_build_system_kind(cfg).expect("valid L1/L2 configuration")
 }
 
-/// Builds the simulated memory system for a configuration behind the
-/// open [`MemorySystem`] trait (the extension surface; sweeps use
-/// [`build_system_kind`]).
-///
-/// # Panics
-///
-/// As [`build_system_kind`].
-pub fn build_system(cfg: &MachineConfig) -> Box<dyn MemorySystem + Send> {
-    Box::new(build_system_kind(cfg))
-}
-
 /// Drives up to `limit` instructions from `source` through `sys`,
 /// returning how many were actually executed (less than `limit` only
 /// when the source exhausted).
@@ -179,14 +168,10 @@ fn drive<S: InstructionSource + ?Sized, M: MemorySystem + ?Sized>(
     limit
 }
 
-/// Runs `workload` through the system for `budget`, returning measured
-/// statistics (warm-up excluded).
-pub fn simulate(cfg: &MachineConfig, workload: &mut Workload, budget: SimBudget) -> HierarchyStats {
-    simulate_source(cfg, workload, budget)
-}
-
-/// As [`simulate`], for any [`InstructionSource`] — including recorded
-/// traces ([`tlc_trace::ReplaySource`]).
+/// Runs `source` through the configuration's hierarchy for `budget`,
+/// returning measured statistics (warm-up excluded). Any
+/// [`InstructionSource`] works: a synthetic [`Workload`](tlc_trace::Workload), a recorded
+/// trace ([`tlc_trace::ReplaySource`]), or a spec-file workload.
 ///
 /// # Early exhaustion
 ///
@@ -222,39 +207,6 @@ pub fn simulate_source_on<S: InstructionSource + ?Sized, M: MemorySystem + ?Size
     *sys.stats()
 }
 
-/// The pre-arena reference engine: drives the stream through the open
-/// [`MemorySystem`] trait object from [`build_system`], exactly as every
-/// evaluation did before the sweep engine existed — one virtual call per
-/// reference, regenerating the stream per invocation. Kept so the
-/// equivalence tests and the audit's `dyn` engine can pin the fast
-/// engines to the trait-object path bit-for-bit.
-pub fn simulate_source_dyn<S: InstructionSource + ?Sized>(
-    cfg: &MachineConfig,
-    source: &mut S,
-    budget: SimBudget,
-) -> HierarchyStats {
-    let mut sys = build_system(cfg);
-    drive(&mut *sys, source, budget.warmup_instructions);
-    sys.reset_stats();
-    drive(&mut *sys, source, budget.instructions);
-    *sys.stats()
-}
-
-/// As [`evaluate`], through the pre-arena reference engine
-/// ([`simulate_source_dyn`]). Bit-identical results, vtable-dispatch
-/// speed; the equivalence tests' trait-object baseline.
-pub fn evaluate_dyn(
-    cfg: &MachineConfig,
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-) -> DesignPoint {
-    let mut workload = benchmark.workload();
-    let stats = simulate_source_dyn(cfg, &mut workload, budget);
-    design_point(cfg, benchmark.name().to_string(), stats, timing, area)
-}
-
 /// Replays one arena chunk's packed columns through the system. This is
 /// the sweep's innermost loop: slice iteration, static dispatch (the
 /// caller monomorphizes it per concrete system type), no RNG, no
@@ -276,16 +228,31 @@ fn replay_chunk<M: MemorySystem>(sys: &mut M, chunk: ChunkView<'_>, start: usize
     }
 }
 
-/// The chunk walk of [`simulate_arena`], monomorphized per concrete
-/// system type so every `access` call in the replay loop is a direct,
-/// inlinable call.
-fn replay_arena_on<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: SimBudget) {
+/// Walks one `(arena, budget)` window through `sys` under the
+/// warm-up/measure protocol: up to `budget.warmup_instructions` records,
+/// a statistics reset, then up to `budget.instructions` more, splitting
+/// the chunk the warm-up boundary falls in. An arena exhausted inside
+/// warm-up (or a zero measurement budget) measures nothing.
+///
+/// `within_limit` is consulted before each chunk; the walk stops and
+/// returns `false` as soon as it refuses (captures bound their event
+/// footprint this way). Monomorphized per system type, so every `access`
+/// in the replay loop is a direct, inlinable call.
+fn walk_window<M: MemorySystem>(
+    sys: &mut M,
+    arena: &TraceArena,
+    budget: SimBudget,
+    mut within_limit: impl FnMut(&M) -> bool,
+) -> bool {
     let warm = budget.warmup_instructions;
     let total = warm.saturating_add(budget.instructions);
     let mut pos = 0u64; // arena-global index of the next record
     for chunk in arena.chunks() {
         if pos >= total {
             break;
+        }
+        if !within_limit(sys) {
+            return false;
         }
         let take = (chunk.len() as u64).min(total - pos);
         if pos >= warm {
@@ -307,10 +274,16 @@ fn replay_arena_on<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: Sim
         pos += take;
     }
     if pos <= warm {
-        // Arena exhausted inside warm-up (or zero measurement budget):
-        // nothing was measured.
         sys.reset_stats();
     }
+    true
+}
+
+/// Replays a whole arena window through `sys` (see [`walk_window`]).
+/// The audit uses it to get a [`SystemKind`] whose resident contents
+/// can be inspected after an arena replay.
+pub(crate) fn replay_arena_on<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: SimBudget) {
+    walk_window(sys, arena, budget, |_| true);
 }
 
 /// As [`simulate_source`], replaying a captured [`TraceArena`] through
@@ -337,6 +310,7 @@ pub fn simulate_arena(
 /// every configuration with this `l1_size_bytes`/`line_bytes`) from a
 /// trace arena: the arena is replayed through split direct-mapped L1
 /// caches **once**, and only the events the L2 would observe are kept.
+/// This is the one-window case of [`capture_miss_stream_segments`].
 ///
 /// Mirrors [`simulate_arena`]'s warm-up split and early-exhaustion
 /// contract, so [`simulate_family`] on the result is bit-identical to
@@ -344,6 +318,10 @@ pub fn simulate_arena(
 /// event stream outgrows `byte_limit` (checked between chunks; an L1 so
 /// small that most references miss could otherwise approach the arena's
 /// own footprint) — callers fall back to the arena engine.
+///
+/// # Panics
+///
+/// Panics on an invalid L1 geometry.
 pub fn capture_miss_stream(
     l1_size_bytes: u64,
     line_bytes: u64,
@@ -351,65 +329,8 @@ pub fn capture_miss_stream(
     budget: SimBudget,
     byte_limit: usize,
 ) -> Option<MissStream> {
-    try_capture_miss_stream(l1_size_bytes, line_bytes, arena, budget, byte_limit)
-        .expect("valid L1 configuration")
-}
-
-/// As [`capture_miss_stream`], returning the configuration error instead
-/// of panicking on an invalid L1 geometry (the audit sampler's path).
-///
-/// # Errors
-///
-/// Returns the [`ConfigError`](tlc_cache::ConfigError) describing the
-/// invalid L1 geometry.
-pub fn try_capture_miss_stream(
-    l1_size_bytes: u64,
-    line_bytes: u64,
-    arena: &TraceArena,
-    budget: SimBudget,
-    byte_limit: usize,
-) -> Result<Option<MissStream>, tlc_cache::ConfigError> {
-    use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
-    let l1 = CacheConfig::new(
-        l1_size_bytes,
-        line_bytes,
-        Associativity::Direct,
-        ReplacementKind::PseudoRandom,
-    )?;
-    let mut fe = L1FrontEnd::new(l1);
-    let warm = budget.warmup_instructions;
-    let total = warm.saturating_add(budget.instructions);
-    let mut pos = 0u64;
-    for chunk in arena.chunks() {
-        if pos >= total {
-            break;
-        }
-        if fe.event_bytes() > byte_limit {
-            return Ok(None);
-        }
-        let take = (chunk.len() as u64).min(total - pos);
-        if pos >= warm {
-            replay_chunk(&mut fe, chunk, 0, take as usize);
-        } else if pos + take <= warm {
-            replay_chunk(&mut fe, chunk, 0, take as usize);
-            if pos + take == warm {
-                fe.reset_stats();
-            }
-        } else {
-            let split = (warm - pos) as usize;
-            replay_chunk(&mut fe, chunk, 0, split);
-            fe.reset_stats();
-            replay_chunk(&mut fe, chunk, split, take as usize);
-        }
-        pos += take;
-    }
-    if pos <= warm {
-        fe.reset_stats();
-    }
-    if fe.event_bytes() > byte_limit {
-        return Ok(None);
-    }
-    Ok(Some(fe.finish(arena.name())))
+    capture_windows(l1_size_bytes, line_bytes, [(arena, budget)], byte_limit)
+        .map(|mut segments| segments.pop().expect("one window, one segment"))
 }
 
 /// Stitched-warming capture for a sampled sweep: **one** L1 front-end
@@ -434,6 +355,20 @@ pub fn capture_miss_stream_segments(
     slices: &[crate::sampling::PhaseSlice],
     byte_limit: usize,
 ) -> Option<Vec<MissStream>> {
+    let windows = slices.iter().map(|s| (&s.arena, s.budget));
+    capture_windows(l1_size_bytes, line_bytes, windows, byte_limit)
+}
+
+/// The one L1 capture behind [`capture_miss_stream`] and
+/// [`capture_miss_stream_segments`]: a single front-end walks every
+/// window in order and cuts one segment per window; `None` once the
+/// segments' packed events exceed `byte_limit`.
+fn capture_windows<'a>(
+    l1_size_bytes: u64,
+    line_bytes: u64,
+    windows: impl IntoIterator<Item = (&'a TraceArena, SimBudget)>,
+    byte_limit: usize,
+) -> Option<Vec<MissStream>> {
     use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
     let l1 = CacheConfig::new(
         l1_size_bytes,
@@ -443,44 +378,16 @@ pub fn capture_miss_stream_segments(
     )
     .expect("valid L1 configuration");
     let mut fe = L1FrontEnd::new(l1);
-    let mut segments = Vec::with_capacity(slices.len());
+    let mut segments = Vec::new();
     let mut banked = 0usize;
-    for slice in slices {
-        let warm = slice.budget.warmup_instructions;
-        let total = warm.saturating_add(slice.budget.instructions);
-        let mut pos = 0u64;
-        for chunk in slice.arena.chunks() {
-            if pos >= total {
-                break;
-            }
-            if banked + fe.event_bytes() > byte_limit {
-                return None;
-            }
-            let take = (chunk.len() as u64).min(total - pos);
-            if pos >= warm {
-                replay_chunk(&mut fe, chunk, 0, take as usize);
-            } else if pos + take <= warm {
-                replay_chunk(&mut fe, chunk, 0, take as usize);
-                if pos + take == warm {
-                    fe.reset_stats();
-                }
-            } else {
-                let split = (warm - pos) as usize;
-                replay_chunk(&mut fe, chunk, 0, split);
-                fe.reset_stats();
-                replay_chunk(&mut fe, chunk, split, take as usize);
-            }
-            pos += take;
+    for (arena, budget) in windows {
+        let fits = |fe: &L1FrontEnd| banked + fe.event_bytes() <= byte_limit;
+        if !walk_window(&mut fe, arena, budget, fits) || !fits(&fe) {
+            return None;
         }
-        if pos <= warm {
-            fe.reset_stats();
-        }
-        let seg = fe.take_stream(slice.arena.name());
+        let seg = fe.take_stream(arena.name());
         banked += seg.bytes();
         segments.push(seg);
-    }
-    if banked > byte_limit {
-        return None;
     }
     Some(segments)
 }
@@ -775,7 +682,7 @@ pub fn evaluate(
     area: &AreaModel,
 ) -> DesignPoint {
     let mut workload = benchmark.workload();
-    let stats = simulate(cfg, &mut workload, budget);
+    let stats = simulate_source(cfg, &mut workload, budget);
     design_point(cfg, benchmark.name().to_string(), stats, timing, area)
 }
 
@@ -918,8 +825,6 @@ mod tests {
             let generated = evaluate(&cfg, SpecBenchmark::Espresso, budget, &tm, &am);
             let replayed = evaluate_arena(&cfg, &arena, budget, &tm, &am);
             assert_eq!(generated, replayed, "{}", cfg.label());
-            let legacy = evaluate_dyn(&cfg, SpecBenchmark::Espresso, budget, &tm, &am);
-            assert_eq!(legacy, replayed, "legacy engine diverged for {}", cfg.label());
         }
     }
 
@@ -1097,18 +1002,5 @@ mod tests {
         let arena =
             TraceArena::capture(&mut ReplaySource::new("tiny", records[..500].to_vec()), u64::MAX);
         assert_eq!(simulate_arena(&cfg, &arena, budget), HierarchyStats::default());
-    }
-
-    #[test]
-    fn build_system_kind_matches_trait_object_builder() {
-        for cfg in [
-            MachineConfig::single_level(4, 50.0),
-            MachineConfig::two_level(2, 16, 4, L2Policy::Conventional, 50.0),
-            MachineConfig::two_level(2, 16, 4, L2Policy::Exclusive, 200.0),
-        ] {
-            let kind = build_system_kind(&cfg);
-            let boxed = build_system(&cfg);
-            assert_eq!(kind.describe(), boxed.describe(), "{}", cfg.label());
-        }
     }
 }

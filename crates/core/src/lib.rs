@@ -21,14 +21,17 @@
 //! use tlc_core::configspace::{full_space, SpaceOptions};
 //! use tlc_core::experiment::SimBudget;
 //! use tlc_core::report;
-//! use tlc_core::runner::sweep;
+//! use tlc_core::runner::{default_threads, try_sweep_threads};
 //! use tlc_timing::TimingModel;
 //! use tlc_trace::spec::SpecBenchmark;
 //!
 //! let timing = TimingModel::paper();
 //! let area = AreaModel::new();
 //! let configs = full_space(&SpaceOptions::baseline());
-//! let points = sweep(&configs, SpecBenchmark::Gcc1, SimBudget::standard(), &timing, &area);
+//! let budget = SimBudget::standard();
+//! let points =
+//!     try_sweep_threads(&configs, SpecBenchmark::Gcc1, budget, &timing, &area, default_threads())
+//!         .expect("no sweep worker panics");
 //! println!("{}", report::points_table("gcc1, 50ns, 4-way L2 (Figure 5)", &points));
 //! ```
 
@@ -51,7 +54,7 @@ pub mod tpi;
 
 pub use experiment::{
     capture_benchmark, capture_miss_stream, config_is_predictable, evaluate, evaluate_arena,
-    evaluate_dyn, evaluate_family, DesignPoint, SimBudget,
+    evaluate_family, DesignPoint, SimBudget,
 };
 pub use machine::{L2Policy, L2Spec, MachineConfig, MachineTiming};
 pub use sampling::{

@@ -9,22 +9,25 @@
 //! stream once into a shared [`TraceArena`] and fan the work out over a
 //! thread pool.
 //!
-//! The default, [`sweep`], goes further: it replays the arena through
-//! each distinct L1 front-end once ([`l1_groups`]), and every family of
-//! configurations sharing that L1 and one L2 policy, associativity and
-//! replacement replays the captured miss stream in a single pass
-//! ([`sweep_family_arena_threads`]). It streams instead only when the
-//! budget would make the capture enormous (see [`ARENA_BYTES_LIMIT`]).
-//! [`sweep_arena_threads`] replays the arena per configuration, and
-//! [`sweep_streaming_threads`] keeps the regenerate-per-configuration
-//! path for comparison and for memory-constrained hosts. All of them
-//! produce bit-identical [`DesignPoint`]s: the arena holds exactly the
-//! stream the seeded generator would produce, and every replay issues
-//! references in the same order.
+//! The default, [`sweep_threads`] / [`try_sweep_threads`], goes
+//! further: it replays the arena through each distinct L1 front-end once
+//! ([`l1_groups`]), and every family of configurations sharing that L1
+//! and one L2 policy, associativity and replacement replays the captured
+//! miss stream in a single pass ([`try_sweep_family_arena_threads`]).
+//! Only for a single configuration, or a budget whose capture would be
+//! enormous (see [`ARENA_BYTES_LIMIT`]), does it generate the stream per
+//! configuration instead. [`try_sweep_arena_threads`] replays the arena
+//! per configuration. All of them produce bit-identical
+//! [`DesignPoint`]s: the arena holds exactly the stream the seeded
+//! generator would produce, and every replay issues references in the
+//! same order.
 //!
-//! [`sweep_predict_arena_threads`] is the one approximate engine (the
-//! family sweep with its predictable members answered analytically), and
-//! [`sweep_sampled_threads`] sweeps only a trace's representative phases.
+//! [`try_sweep_predict_arena_threads`] is the one approximate engine
+//! (the family sweep with its predictable members answered
+//! analytically), and [`try_sweep_sampled_threads`] sweeps only a
+//! trace's representative phases. A worker panic comes back from every
+//! `try_*` entry point as a structured [`SweepError`]; [`sweep_threads`]
+//! and [`sweep_matrix`] are the panicking conveniences.
 
 use crate::configspace::unique_configs;
 use crate::experiment::{
@@ -119,9 +122,10 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Upper bound on the arena capture size before [`sweep`] falls back to
-/// the streaming path: 1 GiB ≈ 63 M instructions at 17 bytes per packed
-/// record, far beyond the standard 2 M-instruction budget.
+/// Upper bound on the arena capture size before [`try_sweep_threads`]
+/// falls back to generating the stream per configuration: 1 GiB ≈ 63 M
+/// instructions at 17 bytes per packed record, far beyond the standard
+/// 2 M-instruction budget.
 pub const ARENA_BYTES_LIMIT: usize = 1 << 30;
 
 /// Packed bytes per captured instruction (fetch `u64` + data `u64` +
@@ -164,34 +168,26 @@ pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
     groups
 }
 
-/// Evaluates every configuration on `benchmark`, in parallel. Results are
-/// returned in the same order as `configs`.
-pub fn sweep(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-) -> Vec<DesignPoint> {
-    sweep_threads(configs, benchmark, budget, timing, area, default_threads())
-}
-
-/// Number of worker threads used by [`sweep`].
+/// The machine's available parallelism: the default worker count of
+/// `tlc sweep` and the figure harness.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// As [`sweep`], with an explicit thread count (tests use 1 or 2).
+/// Evaluates every configuration on `benchmark` over `threads` workers;
+/// results are returned in the same order as `configs`.
 ///
 /// Captures the benchmark's stream once and hands it to the
-/// family-batched engine ([`sweep_family_arena_threads`]), unless the
-/// capture would exceed [`ARENA_BYTES_LIMIT`] (or there is only one
-/// configuration, where a capture cannot pay for itself) — then it
-/// streams instead. Either way the results are identical.
+/// family-batched engine ([`try_sweep_family_arena_threads`]), unless
+/// the capture would exceed [`ARENA_BYTES_LIMIT`] (or there is only one
+/// configuration, where a capture cannot pay for itself) — then each
+/// configuration generates the stream itself. Either way the results
+/// are identical.
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero.
+/// Panics if `threads` is zero or a worker panics (re-raised with the
+/// failing unit; [`try_sweep_threads`] returns it instead).
 pub fn sweep_threads(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
@@ -200,7 +196,10 @@ pub fn sweep_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_threads(configs, benchmark, budget, timing, area, threads))
+    match try_sweep_threads(configs, benchmark, budget, timing, area, threads) {
+        Ok(points) => points,
+        Err(e) => panic!("sweep worker thread panicked at {e}"),
+    }
 }
 
 /// As [`sweep_threads`], reporting a worker panic as a structured
@@ -223,11 +222,13 @@ pub fn try_sweep_threads(
         obs_count!(Counter::RunnerFallbackStreaming, 1);
         obs_event!(
             "engine.fallback_streaming",
-            "{} configs, predicted arena {} B: streaming replay",
+            "{} configs, predicted arena {} B: generating the stream per configuration",
             configs.len(),
             arena_bytes_for(budget)
         );
-        return try_sweep_streaming_threads(configs, benchmark, budget, timing, area, threads);
+        return try_per_config(configs, threads, |cfg| {
+            evaluate(cfg, benchmark, budget, timing, area)
+        });
     }
     obs_event!("engine.selected", "family-batched arena engine, {} configs", configs.len());
     let arena = {
@@ -237,36 +238,12 @@ pub fn try_sweep_threads(
     try_sweep_family_arena_threads(configs, &arena, budget, timing, area, threads)
 }
 
-/// Unwraps a `try_sweep_*` result for the infallible entry points,
-/// re-raising the worker panic with its unit context.
-fn expect_sweep(r: Result<Vec<DesignPoint>, SweepError>) -> Vec<DesignPoint> {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("sweep worker thread panicked at {e}"),
-    }
-}
-
 /// Evaluates every configuration against an already-captured arena, in
 /// parallel, in input order. Callers that sweep the same benchmark
 /// several times (e.g. per off-chip latency or per L2 policy) capture
 /// once and call this directly.
 ///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// As [`sweep_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`].
+/// A worker panic comes back as a [`SweepError`].
 ///
 /// # Panics
 ///
@@ -279,11 +256,25 @@ pub fn try_sweep_arena_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
+    try_per_config(configs, threads, |cfg| evaluate_arena(cfg, arena, budget, timing, area))
+}
+
+/// One work unit per configuration under a `fan_out` span — the arena
+/// sweep, and the generate-per-configuration fallback of
+/// [`try_sweep_threads`].
+fn try_per_config<F>(
+    configs: &[MachineConfig],
+    threads: usize,
+    eval: F,
+) -> Result<Vec<DesignPoint>, SweepError>
+where
+    F: Fn(&MachineConfig) -> DesignPoint + Sync,
+{
     let _span = obs_span!("fan_out");
     try_run_indexed(
         configs.len(),
         threads,
-        |i| evaluate_arena(&configs[i], arena, budget, timing, area),
+        |i| eval(&configs[i]),
         |i| SweepUnit::Config { index: i, label: configs[i].label() },
     )
 }
@@ -513,7 +504,7 @@ fn try_sweep_captured(
 /// stream, and each group is then partitioned into *families* sharing
 /// one L2 policy, associativity and replacement. Each family replays its
 /// group's events **once** for all of its members ([`evaluate_family`]).
-/// Bit-identical to [`sweep_arena_threads`]; the L1 work — which the
+/// Bit-identical to [`try_sweep_arena_threads`]; the L1 work — which the
 /// arena path repeats for every configuration — is paid once per group,
 /// and the event decode once per family.
 ///
@@ -524,24 +515,8 @@ fn try_sweep_captured(
 /// arena replay, so the sweep's memory stays bounded by the same
 /// reasoning as the 1 GiB arena bound. Results are returned in input
 /// order.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_family_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_family_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// As [`sweep_family_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`] naming the L1 group, family chunk, or
-/// configuration that failed.
+/// A worker panic comes back as a [`SweepError`] naming the L1 group,
+/// family chunk, or configuration that failed.
 ///
 /// # Panics
 ///
@@ -577,22 +552,7 @@ pub fn try_sweep_family_arena_threads(
 /// `runner.configs_completed` ticks once per (configuration × phase)
 /// evaluation; the recombination itself is untracked, so a sampled sweep
 /// reports `configs × phases` completions in its manifest.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero, `slices` is empty, or a worker panics.
-pub fn sweep_sampled_threads(
-    configs: &[MachineConfig],
-    slices: &[PhaseSlice],
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_sampled_threads(configs, slices, timing, area, threads))
-}
-
-/// As [`sweep_sampled_threads`], reporting a worker panic as a
-/// structured [`SweepError`].
+/// A worker panic comes back as a [`SweepError`].
 ///
 /// # Panics
 ///
@@ -686,7 +646,7 @@ fn recombined(
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
-/// captured exactly as in [`sweep_family_arena_threads`], but each
+/// captured exactly as in [`try_sweep_family_arena_threads`], but each
 /// captured group's single-level and conventional members are answered
 /// by **one** reuse-distance profiling pass
 /// ([`evaluate_predicted`]) — O(events) per L1 group, independent of how
@@ -705,24 +665,8 @@ fn recombined(
 /// fall back to plain arena replay. The `predict.configs_predicted` /
 /// `predict.configs_replayed` counters record the split. Results are
 /// returned in input order.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_predict_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_predict_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// As [`sweep_predict_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`] naming the L1 group, predict group, family
-/// chunk, or configuration that failed.
+/// A worker panic comes back as a [`SweepError`] naming the L1 group,
+/// predict group, family chunk, or configuration that failed.
 ///
 /// # Panics
 ///
@@ -736,48 +680,6 @@ pub fn try_sweep_predict_arena_threads(
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     try_sweep_captured(configs, arena, budget, timing, area, threads, true)
-}
-
-/// The regenerate-per-configuration sweep: each evaluation rebuilds the
-/// benchmark's seeded generator and streams it from scratch. Kept public
-/// as the memory-lean fallback and as the reference the arena path is
-/// tested against.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_streaming_threads(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_streaming_threads(configs, benchmark, budget, timing, area, threads))
-}
-
-/// As [`sweep_streaming_threads`], reporting a worker panic as a
-/// structured [`SweepError`].
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn try_sweep_streaming_threads(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    let _span = obs_span!("fan_out");
-    try_run_indexed(
-        configs.len(),
-        threads,
-        |i| evaluate(&configs[i], benchmark, budget, timing, area),
-        |i| SweepUnit::Config { index: i, label: configs[i].label() },
-    )
 }
 
 /// Sweeps `configs` across several benchmarks, capturing each
@@ -946,16 +848,24 @@ mod tests {
     }
 
     #[test]
-    fn arena_sweep_matches_streaming_sweep() {
+    fn generated_fallback_matches_arena_sweep() {
+        // The generate-per-configuration fallback of `try_sweep_threads`
+        // (taken for one configuration or over the arena bound) must
+        // agree bit for bit with an arena replay of the same stream.
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         let mut configs = single_level_configs(&SpaceOptions::baseline())[..2].to_vec();
         configs.extend_from_slice(&two_level_configs(&SpaceOptions::baseline())[..2]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
-        let streamed = sweep_streaming_threads(&configs, SpecBenchmark::Gcc1, budget, &tm, &am, 2);
+        let generated =
+            try_per_config(&configs, 2, |cfg| evaluate(cfg, SpecBenchmark::Gcc1, budget, &tm, &am))
+                .expect("generated sweep");
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let replayed = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
-        assert_eq!(streamed, replayed, "arena sweep must be bit-identical to streaming");
+        let replayed = try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).unwrap();
+        assert_eq!(generated, replayed, "arena sweep must be bit-identical to generation");
+        // One configuration takes the fallback inside `try_sweep_threads`.
+        let single = sweep_threads(&configs[..1], SpecBenchmark::Gcc1, budget, &tm, &am, 2);
+        assert_eq!(single[..], replayed[..1]);
     }
 
     #[test]
@@ -966,8 +876,8 @@ mod tests {
         let configs = &configs[..5];
         let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);
-        let one = sweep_arena_threads(configs, &arena, budget, &tm, &am, 1);
-        let many = sweep_arena_threads(configs, &arena, budget, &tm, &am, 5);
+        let one = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 1).unwrap();
+        let many = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 5).unwrap();
         assert_eq!(one, many);
     }
 
@@ -1051,9 +961,11 @@ mod tests {
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let plain = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
+        let plain = try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).unwrap();
         for threads in [1, 3] {
-            let family = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads);
+            let family =
+                try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads)
+                    .unwrap();
             assert_eq!(plain, family, "family sweep diverged at {threads} threads");
         }
     }
@@ -1119,10 +1031,11 @@ mod tests {
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let truth = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2);
+        let truth = try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2).unwrap();
         for threads in [1, 3] {
             let predicted =
-                sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, threads);
+                try_sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, threads)
+                    .unwrap();
             assert_eq!(predicted.len(), configs.len());
             for ((cfg, got), want) in configs.iter().zip(&predicted).zip(&truth) {
                 assert_eq!(got.label, want.label, "order must be preserved");
@@ -1169,8 +1082,8 @@ mod tests {
         assert!(configs.len() >= 6);
         let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
-        let one = sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 1);
-        let many = sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 4);
+        let one = try_sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 1).unwrap();
+        let many = try_sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 4).unwrap();
         assert_eq!(one, many);
     }
 
@@ -1187,8 +1100,9 @@ mod tests {
         assert!(configs.len() >= 8, "1KB L1 pairs with every L2 size");
         let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
-        let serial = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 1);
-        let chunked = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 4);
+        let serial = try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 1).unwrap();
+        let chunked =
+            try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 4).unwrap();
         assert_eq!(serial, chunked);
     }
 
@@ -1202,8 +1116,8 @@ mod tests {
         let configs = &configs[..3];
         let budget = SimBudget { instructions: 8_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
-        let plain = sweep_arena_threads(configs, &arena, budget, &tm, &am, 1);
-        let family = sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 2);
+        let plain = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 1).unwrap();
+        let family = try_sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 2).unwrap();
         assert_eq!(plain, family);
     }
 

@@ -106,7 +106,8 @@ pub enum Counter {
     RunnerFallbackSingleton,
     /// Miss streams abandoned because they outgrew the byte limit.
     RunnerFallbackByteLimit,
-    /// Whole sweeps demoted from arena capture to streaming replay.
+    /// Whole sweeps demoted from arena capture to generating the stream
+    /// per configuration (one configuration, or an over-limit capture).
     RunnerFallbackStreaming,
     /// Design points answered analytically by the reuse-distance
     /// predictor (no event replay).

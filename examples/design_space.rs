@@ -17,7 +17,7 @@
 use two_level_cache::area::AreaModel;
 use two_level_cache::study::configspace::{full_space, SpaceOptions};
 use two_level_cache::study::report::{envelope_table, points_table};
-use two_level_cache::study::runner::sweep;
+use two_level_cache::study::runner::{default_threads, try_sweep_threads};
 use two_level_cache::study::SimBudget;
 use two_level_cache::timing::TimingModel;
 use two_level_cache::trace::spec::SpecBenchmark;
@@ -41,7 +41,15 @@ fn main() {
     let configs = full_space(&opts);
 
     eprintln!("sweeping {} configurations on {benchmark}...", configs.len());
-    let points = sweep(&configs, benchmark, SimBudget::standard(), &timing, &area);
+    let budget = SimBudget::standard();
+    let points =
+        match try_sweep_threads(&configs, benchmark, budget, &timing, &area, default_threads()) {
+            Ok(points) => points,
+            Err(e) => {
+                eprintln!("sweep failed: {e}");
+                std::process::exit(1);
+            }
+        };
 
     println!(
         "{}",

@@ -15,7 +15,7 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use two_level_cache::study::experiment::{simulate, simulate_source, SimBudget};
+use two_level_cache::study::experiment::{simulate_source, SimBudget};
 use two_level_cache::study::{L2Policy, MachineConfig};
 use two_level_cache::trace::io::{read_instruction_trace, write_instruction_trace};
 use two_level_cache::trace::spec::SpecBenchmark;
@@ -59,7 +59,7 @@ fn main() -> std::io::Result<()> {
     if name.starts_with("li") {
         // Cross-check against the live generator.
         let mut live = SpecBenchmark::Li.workload();
-        let live_stats = simulate(&cfg, &mut live, budget);
+        let live_stats = simulate_source(&cfg, &mut live, budget);
         println!("live   : {live_stats}");
         assert_eq!(replay_stats, live_stats, "replay must reproduce the live run exactly");
         println!("replay == live: the trace file round-trips losslessly.");

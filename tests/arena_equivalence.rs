@@ -18,10 +18,10 @@ use tlc_cache::{
     MemorySystem, ReplacementKind,
 };
 use tlc_core::experiment::{
-    capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_dyn,
-    evaluate_family, DesignPoint, SimBudget,
+    capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_family, DesignPoint,
+    SimBudget,
 };
-use tlc_core::runner::{sweep_arena_threads, sweep_family_arena_threads};
+use tlc_core::runner::{try_sweep_arena_threads, try_sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -49,9 +49,9 @@ fn hierarchy_kinds() -> [MachineConfig; 3] {
     ]
 }
 
-/// Every benchmark × every hierarchy kind: the arena replay and both
-/// generator-driven engines (monomorphised and the legacy vtable path)
-/// must agree on the entire `DesignPoint` — stats, `tpi_ns`, CPI, label.
+/// Every benchmark × every hierarchy kind: the arena replay and the
+/// generator-driven evaluation must agree on the entire `DesignPoint` —
+/// stats, `tpi_ns`, CPI, label.
 #[test]
 fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
     let tm = TimingModel::paper();
@@ -65,14 +65,6 @@ fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
                 generated,
                 replayed,
                 "{} on {}: arena replay diverged from generation",
-                benchmark.name(),
-                cfg.label()
-            );
-            let legacy = evaluate_dyn(&cfg, benchmark, BUDGET, &tm, &am);
-            assert_eq!(
-                generated,
-                legacy,
-                "{} on {}: devirtualised engine diverged from the dyn path",
                 benchmark.name(),
                 cfg.label()
             );
@@ -106,8 +98,9 @@ fn chunk_size_does_not_change_results() {
 /// exclusive victim-swap) and several (L1, L2) geometry pairs, each
 /// configuration replayed alone as a family of one — L1 simulated once
 /// per front-end, L2 replaying only the captured events — must produce
-/// the same `DesignPoint` bit for bit as both the arena engine and the
-/// legacy dyn engine.
+/// the same `DesignPoint` bit for bit as the arena engine (which
+/// `arena_replay_matches_generation_for_all_benchmarks_and_kinds` pins
+/// to generator-driven evaluation).
 #[test]
 fn one_member_family_equivalence() {
     let tm = TimingModel::paper();
@@ -134,14 +127,6 @@ fn one_member_family_equivalence() {
                     member,
                     replayed,
                     "{} on {}: one-member family diverged from arena replay",
-                    benchmark.name(),
-                    cfg.label()
-                );
-                let legacy = evaluate_dyn(cfg, benchmark, BUDGET, &tm, &am);
-                assert_eq!(
-                    member,
-                    legacy,
-                    "{} on {}: one-member family diverged from the dyn engine",
                     benchmark.name(),
                     cfg.label()
                 );
@@ -300,9 +285,10 @@ fn family_sweep_matches_arena_sweep_at_any_thread_count() {
         ])
         .collect();
     let arena = capture_benchmark(SpecBenchmark::Doduc, BUDGET);
-    let reference = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1);
+    let reference = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).unwrap();
     for threads in [1usize, 2, 5] {
-        let family = sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
+        let family =
+            try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads).unwrap();
         assert_eq!(reference, family, "threads={threads} changed the family sweep");
     }
 }
@@ -472,9 +458,10 @@ fn thread_count_does_not_change_design_points() {
         ])
         .collect();
     let arena = capture_benchmark(SpecBenchmark::Eqntott, BUDGET);
-    let serial = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1);
+    let serial = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).unwrap();
     for threads in [2usize, 3, 8] {
-        let parallel = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
+        let parallel =
+            try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads).unwrap();
         assert_eq!(serial, parallel, "threads={threads} changed the sweep");
     }
 }

@@ -6,7 +6,7 @@ use two_level_cache::area::{AreaModel, CellKind};
 use two_level_cache::study::configspace::{full_space, single_level_configs, SpaceOptions};
 use two_level_cache::study::envelope::{envelope_at, mean_improvement};
 use two_level_cache::study::report::envelope_of;
-use two_level_cache::study::runner::sweep;
+use two_level_cache::study::runner::{default_threads, sweep_threads};
 use two_level_cache::study::{DesignPoint, L2Policy, SimBudget};
 use two_level_cache::timing::TimingModel;
 use two_level_cache::trace::spec::SpecBenchmark;
@@ -18,13 +18,13 @@ fn budget() -> SimBudget {
 fn run_space(opts: &SpaceOptions, b: SpecBenchmark) -> Vec<DesignPoint> {
     let timing = TimingModel::paper();
     let area = AreaModel::new();
-    sweep(&full_space(opts), b, budget(), &timing, &area)
+    sweep_threads(&full_space(opts), b, budget(), &timing, &area, default_threads())
 }
 
 fn run_singles(opts: &SpaceOptions, b: SpecBenchmark) -> Vec<DesignPoint> {
     let timing = TimingModel::paper();
     let area = AreaModel::new();
-    sweep(&single_level_configs(opts), b, budget(), &timing, &area)
+    sweep_threads(&single_level_configs(opts), b, budget(), &timing, &area, default_threads())
 }
 
 #[test]
