@@ -1,4 +1,5 @@
-//! A single physically-indexed cache.
+//! A single physically-indexed cache — the crate's only set-associative
+//! array.
 //!
 //! [`Cache`] operates entirely on [`LineAddr`]s — the hierarchy layers
 //! translate byte addresses once and pass line numbers down. Besides the
@@ -6,6 +7,13 @@
 //! needs: [`Cache::extract`] (remove a line, reclaiming its way) and
 //! [`Cache::fill_at`] (install into a specific way), which together
 //! implement the swap of the paper's §8.
+//!
+//! Every hierarchy's L1s and L2 are `Cache`s, and so is every member of
+//! a family replay ([`filter_family`](crate::filter_family)): the
+//! per-access systems and the family engine run the same array code.
+//! The methods on that path are `#[inline(always)]`: a family steps
+//! every member through them for every event, and left to the inliner
+//! the shared L2 steps ran up to 1.5× slower than fully inlined ones.
 
 use crate::config::CacheConfig;
 use crate::replacement::{Lfsr16, SRRIP_LONG_RRPV, SRRIP_MAX_RRPV};
@@ -31,11 +39,24 @@ pub struct Slot {
     pub way: u32,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+/// The empty-way word. A way holds `(line << 1) | dirty`; lines are
+/// below 2^62 (byte addresses over lines of at least 4 bytes, which
+/// [`CacheConfig::new`] enforces), so a real word never has its top bit
+/// set, and `INVALID >> 1` (2^63 - 1) never equals a line — one shifted
+/// compare tests "valid and holds this line".
+const INVALID: u64 = u64::MAX;
+
+/// Packs a resident line and its dirty bit into one way word.
+#[inline(always)]
+fn pack(line: LineAddr, dirty: bool) -> u64 {
+    debug_assert!(line.0 < 1 << 62, "line {:#x} outside the packed range", line.0);
+    (line.0 << 1) | dirty as u64
+}
+
+/// Unpacks a valid way word.
+#[inline(always)]
+fn unpack(word: u64) -> Evicted {
+    Evicted { line: LineAddr(word >> 1), dirty: word & 1 == 1 }
 }
 
 /// Replacement state for *all* sets, held as flat per-policy arrays
@@ -50,7 +71,7 @@ struct Way {
 /// [`ReplState`](crate::replacement::ReplState): same stamp sequences,
 /// same LFSR consumption, same PLRU bit layout.
 #[derive(Debug)]
-pub(crate) enum ReplBank {
+enum ReplBank {
     /// LRU / FIFO: per-way stamps and a per-set clock.
     Stamped { stamps: Vec<u32>, clock: Vec<u32>, refresh_on_touch: bool },
     /// Pseudo-random: stateless, victims come from the cache-global LFSR.
@@ -62,7 +83,7 @@ pub(crate) enum ReplBank {
 }
 
 impl ReplBank {
-    pub(crate) fn new(kind: crate::config::ReplacementKind, num_sets: usize, ways: usize) -> Self {
+    fn new(kind: crate::config::ReplacementKind, num_sets: usize, ways: usize) -> Self {
         use crate::config::ReplacementKind;
         match kind {
             ReplacementKind::Lru => ReplBank::Stamped {
@@ -86,8 +107,8 @@ impl ReplBank {
     }
 
     /// Notifies the bank that `way` of `set` was referenced (hit).
-    #[inline]
-    pub(crate) fn touch(&mut self, set: usize, stride: usize, way: u32, ways: u32) {
+    #[inline(always)]
+    fn touch(&mut self, set: usize, stride: usize, way: u32) {
         match self {
             ReplBank::Stamped { stamps, clock, refresh_on_touch } => {
                 if *refresh_on_touch {
@@ -96,35 +117,30 @@ impl ReplBank {
                 }
             }
             ReplBank::Random => {}
-            ReplBank::Tree { bits } => tree_point_away(&mut bits[set], ways, way),
+            ReplBank::Tree { bits } => tree_point_away(&mut bits[set], stride as u32, way),
             ReplBank::Srrip { rrpv } => rrpv[set * stride + way as usize] = 0,
         }
     }
 
     /// Notifies the bank that `way` of `set` was just filled.
-    #[inline]
-    pub(crate) fn filled(&mut self, set: usize, stride: usize, way: u32, ways: u32) {
+    #[inline(always)]
+    fn filled(&mut self, set: usize, stride: usize, way: u32) {
         match self {
             ReplBank::Stamped { stamps, clock, .. } => {
                 clock[set] += 1;
                 stamps[set * stride + way as usize] = clock[set];
             }
             ReplBank::Random => {}
-            ReplBank::Tree { bits } => tree_point_away(&mut bits[set], ways, way),
+            ReplBank::Tree { bits } => tree_point_away(&mut bits[set], stride as u32, way),
             ReplBank::Srrip { rrpv } => rrpv[set * stride + way as usize] = SRRIP_LONG_RRPV,
         }
     }
 
     /// Chooses a victim way in `set`. Mutable because SRRIP ages the
     /// set's RRPVs until one reaches the eviction value.
-    #[inline]
-    pub(crate) fn victim(
-        &mut self,
-        set: usize,
-        stride: usize,
-        ways: u32,
-        lfsr: &mut Lfsr16,
-    ) -> u32 {
+    #[inline(always)]
+    fn victim(&mut self, set: usize, stride: usize, lfsr: &mut Lfsr16) -> u32 {
+        let ways = stride as u32;
         match self {
             ReplBank::Stamped { stamps, .. } => {
                 let mut best = 0u32;
@@ -206,7 +222,7 @@ impl Liveness {
 /// Running tallies behind [`Liveness`]: departed generations only; the
 /// still-resident ones are folded in by [`LiveTally::snapshot`].
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LiveTally {
+struct LiveTally {
     fills: u64,
     dead: u64,
     multi: u64,
@@ -214,16 +230,16 @@ pub(crate) struct LiveTally {
 
 impl LiveTally {
     /// Starts a generation.
-    #[inline]
-    pub(crate) fn fill(&mut self) {
+    #[inline(always)]
+    fn fill(&mut self) {
         if tlc_obs::ENABLED {
             self.fills += 1;
         }
     }
 
     /// Ends a generation that saw `hits` demand hits.
-    #[inline]
-    pub(crate) fn retire(&mut self, hits: u8) {
+    #[inline(always)]
+    fn retire(&mut self, hits: u8) {
         if tlc_obs::ENABLED {
             if hits == 0 {
                 self.dead += 1;
@@ -235,7 +251,7 @@ impl LiveTally {
 
     /// Classifies the still-resident generations' hit counts and returns
     /// the closed totals.
-    pub(crate) fn snapshot(mut self, resident: impl Iterator<Item = u8>) -> Liveness {
+    fn snapshot(mut self, resident: impl Iterator<Item = u8>) -> Liveness {
         for h in resident {
             self.retire(h);
         }
@@ -251,7 +267,7 @@ impl LiveTally {
 /// Flips the PLRU path bits so the tree points *away* from `way` (same
 /// layout as [`ReplState`](crate::replacement::ReplState)'s tree
 /// variant).
-#[inline]
+#[inline(always)]
 fn tree_point_away(bits: &mut u64, ways: u32, way: u32) {
     let levels = ways.trailing_zeros();
     let mut node = 1u32;
@@ -287,13 +303,13 @@ fn tree_point_away(bits: &mut u64, ways: u32, way: u32) {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// All ways of all sets, set-major: `ways[set * stride + way]`.
-    ways: Vec<Way>,
+    /// All ways of all sets, set-major (`ways[set * stride + way]`), one
+    /// packed `(line << 1) | dirty` word each, [`INVALID`] when empty.
+    ways: Vec<u64>,
     repl: ReplBank,
     /// Ways per set.
     stride: usize,
     set_mask: u64,
-    set_shift: u32,
     lfsr: Lfsr16,
     stats: CacheStats,
     /// Lifetime pseudo-random victim draws (instrumented builds only;
@@ -313,21 +329,17 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         let stride = cfg.ways() as usize;
+        let slots = num_sets as usize * stride;
         Cache {
             cfg,
-            ways: vec![Way::default(); num_sets as usize * stride],
+            ways: vec![INVALID; slots],
             repl: ReplBank::new(cfg.replacement(), num_sets as usize, stride),
             stride,
             set_mask: num_sets - 1,
-            set_shift: num_sets.trailing_zeros(),
             lfsr: Lfsr16::default(),
             stats: CacheStats::default(),
             lfsr_draws: 0,
-            hit_counts: if tlc_obs::ENABLED {
-                vec![0; num_sets as usize * stride]
-            } else {
-                Vec::new()
-            },
+            hit_counts: if tlc_obs::ENABLED { vec![0; slots] } else { Vec::new() },
             live: LiveTally::default(),
         }
     }
@@ -353,7 +365,7 @@ impl Cache {
     /// uninstrumented builds).
     pub fn liveness(&self) -> Liveness {
         self.live.snapshot(
-            self.ways.iter().zip(&self.hit_counts).filter(|(w, _)| w.valid).map(|(_, &h)| h),
+            self.ways.iter().zip(&self.hit_counts).filter(|(&w, _)| w != INVALID).map(|(_, &h)| h),
         )
     }
 
@@ -363,42 +375,76 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    #[inline]
-    fn split(&self, line: LineAddr) -> (u64, u64) {
-        (line.0 & self.set_mask, line.0 >> self.set_shift)
-    }
-
-    #[inline]
-    fn join(&self, set: u64, tag: u64) -> LineAddr {
-        LineAddr((tag << self.set_shift) | set)
-    }
-
     /// Set index of a line in this cache.
-    #[inline]
+    #[inline(always)]
     pub fn set_index(&self, line: LineAddr) -> u64 {
         line.0 & self.set_mask
     }
 
-    /// The ways of `set` as a slice.
-    #[inline]
-    fn set_ways(&self, set: u64) -> &[Way] {
-        let base = set as usize * self.stride;
-        &self.ways[base..base + self.stride]
+    /// Index of `set`'s first way in `ways`.
+    #[inline(always)]
+    fn base(&self, set: u64) -> usize {
+        set as usize * self.stride
+    }
+
+    /// The way of `line`'s set that holds it, if any.
+    #[inline(always)]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let set = self.set_index(line);
+        if self.stride == 1 {
+            return (self.ways[set as usize] >> 1 == line.0).then_some(0);
+        }
+        let base = self.base(set);
+        self.ways[base..base + self.stride].iter().position(|&w| w >> 1 == line.0)
+    }
+
+    /// Counts a demand hit on the way at `idx` toward its generation's
+    /// liveness (no-op uninstrumented).
+    #[inline(always)]
+    fn note_hit(&mut self, idx: usize) {
+        if tlc_obs::ENABLED {
+            let c = &mut self.hit_counts[idx];
+            *c = c.saturating_add(1);
+        }
+    }
+
+    /// Writes a new generation into the way at `idx`, ending the old
+    /// one's liveness, and returns the word it replaced.
+    #[inline(always)]
+    fn install(&mut self, idx: usize, line: LineAddr, dirty: bool) -> u64 {
+        let old = std::mem::replace(&mut self.ways[idx], pack(line, dirty));
+        if tlc_obs::ENABLED {
+            self.live.fill();
+            if old != INVALID {
+                self.live.retire(self.hit_counts[idx]);
+            }
+            self.hit_counts[idx] = 0;
+        }
+        old
+    }
+
+    /// Counts a displaced word as an eviction and returns it.
+    #[inline(always)]
+    fn evicted(&mut self, old: u64) -> Option<Evicted> {
+        if old == INVALID {
+            return None;
+        }
+        let ev = unpack(old);
+        self.stats.evictions += 1;
+        self.stats.dirty_evictions += ev.dirty as u64;
+        Some(ev)
     }
 
     /// Looks a line up **without** touching statistics or replacement
     /// state.
     pub fn probe(&self, line: LineAddr) -> Option<Slot> {
-        let (set, tag) = self.split(line);
-        self.set_ways(set)
-            .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|way| Slot { set, way: way as u32 })
+        self.find(line).map(|way| Slot { set: self.set_index(line), way: way as u32 })
     }
 
     /// Whether the line is present.
+    #[inline(always)]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.probe(line).is_some()
+        self.find(line).is_some()
     }
 
     /// Performs a demand access: counts a hit or a miss, and on a hit
@@ -407,45 +453,43 @@ impl Cache {
     /// Returns `true` on a hit. On a miss the cache is left unchanged —
     /// the hierarchy decides how to refill (conventional fill, exclusive
     /// swap, bypass, …).
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> bool {
+        self.demand(line, is_write).is_some()
+    }
+
+    /// [`Cache::access`] followed, on a hit, by [`Cache::extract`], in
+    /// one scan: the exclusive policy's L2 probe. Returns the extracted
+    /// line's dirty bit and the slot it freed.
+    #[inline(always)]
+    pub(crate) fn access_extract(&mut self, line: LineAddr) -> Option<(bool, Slot)> {
+        let idx = self.demand(line, false)?;
+        let set = self.set_index(line);
+        let way = (idx - self.base(set)) as u32;
+        Some((self.take(idx), Slot { set, way }))
+    }
+
+    /// [`Cache::access`], returning the hit way's index in `ways`.
+    #[inline(always)]
+    fn demand(&mut self, line: LineAddr, is_write: bool) -> Option<usize> {
         self.stats.accesses += 1;
-        let (set, tag) = self.split(line);
-        // Direct-mapped fast path: one tag compare, and no replacement
+        let set = self.set_index(line);
+        // Direct-mapped fast path: one compare, and no replacement
         // bookkeeping (a 1-way set's victim is way 0 under every policy).
-        if self.stride == 1 {
-            let w = &mut self.ways[set as usize];
-            if w.valid && w.tag == tag {
-                w.dirty |= is_write;
-                self.stats.hits += 1;
-                if tlc_obs::ENABLED {
-                    let c = &mut self.hit_counts[set as usize];
-                    *c = c.saturating_add(1);
-                }
-                return true;
+        let idx = if self.stride == 1 {
+            if self.ways[set as usize] >> 1 != line.0 {
+                return None;
             }
-            return false;
-        }
-        let base = set as usize * self.stride;
-        let mut hit = None;
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                w.dirty |= is_write;
-                hit = Some(i as u32);
-                break;
-            }
-        }
-        if let Some(way) = hit {
-            self.repl.touch(set as usize, self.stride, way, self.cfg.ways());
-            self.stats.hits += 1;
-            if tlc_obs::ENABLED {
-                let c = &mut self.hit_counts[base + way as usize];
-                *c = c.saturating_add(1);
-            }
-            return true;
-        }
-        false
+            set as usize
+        } else {
+            let way = self.find(line)?;
+            self.repl.touch(set as usize, self.stride, way as u32);
+            self.base(set) + way
+        };
+        self.ways[idx] |= is_write as u64;
+        self.stats.hits += 1;
+        self.note_hit(idx);
+        Some(idx)
     }
 
     /// Installs `line`, choosing a victim by the replacement policy when
@@ -455,17 +499,8 @@ impl Cache {
     /// the dirty bit (callers normally `access` first, so double-insertion
     /// indicates the hierarchy already holds the line elsewhere).
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
-        let (set, tag) = self.split(line);
-        let ways = self.cfg.ways();
-        let base = set as usize * self.stride;
-        // Already present: merge dirty, refresh replacement.
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                w.dirty |= dirty;
-                self.repl.touch(set as usize, self.stride, i as u32, ways);
-                return None;
-            }
+        if self.merge_if_present(line, dirty) {
+            return None;
         }
         self.fill_after_miss(line, dirty)
     }
@@ -478,63 +513,32 @@ impl Cache {
     ///
     /// Behaviour (victim choice, replacement bookkeeping, statistics) is
     /// identical to [`Cache::fill`] on an absent line.
-    #[inline]
+    #[inline(always)]
     pub fn fill_after_miss(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
         debug_assert!(!self.contains(line), "fill_after_miss: line already present");
-        let (set, tag) = self.split(line);
+        let set = self.set_index(line);
         // Direct-mapped fast path: the victim is the set's only way under
         // every policy, so skip the free scan and replacement bookkeeping
         // (including the pseudo-random LFSR draw, whose value could only
         // ever select way 0 here).
         if self.stride == 1 {
-            let w = &mut self.ways[set as usize];
-            let old = *w;
-            *w = Way { tag, valid: true, dirty };
-            if tlc_obs::ENABLED {
-                self.live.fill();
-                if old.valid {
-                    self.live.retire(self.hit_counts[set as usize]);
+            let old = self.install(set as usize, line, dirty);
+            return self.evicted(old);
+        }
+        let base = self.base(set);
+        // Free way if any: no victim choice, no draw.
+        let way = match self.ways[base..base + self.stride].iter().position(|&w| w == INVALID) {
+            Some(free) => free,
+            None => {
+                if tlc_obs::ENABLED && matches!(self.repl, ReplBank::Random) {
+                    self.lfsr_draws += 1;
                 }
-                self.hit_counts[set as usize] = 0;
+                self.repl.victim(set as usize, self.stride, &mut self.lfsr) as usize
             }
-            if old.valid {
-                self.stats.evictions += 1;
-                if old.dirty {
-                    self.stats.dirty_evictions += 1;
-                }
-                return Some(Evicted { line: self.join(set, old.tag), dirty: old.dirty });
-            }
-            return None;
-        }
-        let ways = self.cfg.ways();
-        let base = set as usize * self.stride;
-        // Free way if any.
-        if let Some(i) = (0..self.stride).find(|&i| !self.ways[base + i].valid) {
-            self.ways[base + i] = Way { tag, valid: true, dirty };
-            self.repl.filled(set as usize, self.stride, i as u32, ways);
-            if tlc_obs::ENABLED {
-                self.live.fill();
-                self.hit_counts[base + i] = 0;
-            }
-            return None;
-        }
-        if tlc_obs::ENABLED && matches!(self.repl, ReplBank::Random) {
-            self.lfsr_draws += 1;
-        }
-        let victim_way = self.repl.victim(set as usize, self.stride, ways, &mut self.lfsr);
-        let v = self.ways[base + victim_way as usize];
-        self.ways[base + victim_way as usize] = Way { tag, valid: true, dirty };
-        self.repl.filled(set as usize, self.stride, victim_way, ways);
-        if tlc_obs::ENABLED {
-            self.live.fill();
-            self.live.retire(self.hit_counts[base + victim_way as usize]);
-            self.hit_counts[base + victim_way as usize] = 0;
-        }
-        self.stats.evictions += 1;
-        if v.dirty {
-            self.stats.dirty_evictions += 1;
-        }
-        Some(Evicted { line: self.join(set, v.tag), dirty: v.dirty })
+        };
+        self.repl.filled(set as usize, self.stride, way as u32);
+        let old = self.install(base + way, line, dirty);
+        self.evicted(old)
     }
 
     /// If `line` is present, merges `dirty` into it and refreshes its
@@ -544,24 +548,22 @@ impl Cache {
     ///
     /// Equivalent to `if self.contains(line) { self.fill(line, dirty); true }`
     /// in one scan instead of two; the hierarchies use it to merge dirty
-    /// L1 victims back into L2 on the write-back path.
-    #[inline]
+    /// L1 victims back into L2 on the write-back path. A merge is not a
+    /// demand hit: the liveness tallies don't move.
+    #[inline(always)]
     pub fn merge_if_present(&mut self, line: LineAddr, dirty: bool) -> bool {
-        let (set, tag) = self.split(line);
-        let base = set as usize * self.stride;
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                w.dirty |= dirty;
-                self.repl.touch(set as usize, self.stride, i as u32, self.cfg.ways());
-                return true;
-            }
-        }
-        false
+        let Some(way) = self.find(line) else {
+            return false;
+        };
+        let set = self.set_index(line);
+        let idx = self.base(set) + way;
+        self.ways[idx] |= dirty as u64;
+        self.repl.touch(set as usize, self.stride, way as u32);
+        true
     }
 
     /// Whether every set holds a single way.
-    #[inline]
+    #[inline(always)]
     pub fn is_direct_mapped(&self) -> bool {
         self.stride == 1
     }
@@ -574,7 +576,7 @@ impl Cache {
     /// have done anyway: the line is resident, and either the cache is
     /// direct-mapped (no replacement bookkeeping on hits) or the policy's
     /// touch is a no-op for a repeat of the most recent reference.
-    #[inline]
+    #[inline(always)]
     pub fn note_filtered_hit(&mut self) {
         self.stats.accesses += 1;
         self.stats.hits += 1;
@@ -591,50 +593,35 @@ impl Cache {
     ///
     /// Panics if `slot.set` does not match the line's set index in this
     /// cache, or `slot.way` is out of range.
+    #[inline(always)]
     pub fn fill_at(&mut self, line: LineAddr, dirty: bool, slot: Slot) -> Option<Evicted> {
-        let (set, tag) = self.split(line);
-        assert_eq!(set, slot.set, "fill_at: slot set does not match line");
+        assert_eq!(self.set_index(line), slot.set, "fill_at: slot set does not match line");
         assert!((slot.way as usize) < self.stride, "fill_at: way out of range");
-        let base = set as usize * self.stride;
-        let old = self.ways[base + slot.way as usize];
-        self.ways[base + slot.way as usize] = Way { tag, valid: true, dirty };
-        self.repl.filled(set as usize, self.stride, slot.way, self.cfg.ways());
-        if tlc_obs::ENABLED {
-            self.live.fill();
-            if old.valid {
-                self.live.retire(self.hit_counts[base + slot.way as usize]);
-            }
-            self.hit_counts[base + slot.way as usize] = 0;
+        self.repl.filled(slot.set as usize, self.stride, slot.way);
+        let old = self.install(self.base(slot.set) + slot.way as usize, line, dirty);
+        if old >> 1 == line.0 {
+            return None;
         }
-        if old.valid && old.tag != tag {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            Some(Evicted { line: self.join(set, old.tag), dirty: old.dirty })
-        } else {
-            None
-        }
+        self.evicted(old)
     }
 
     /// Removes `line` from the cache, returning its dirty bit and the slot
     /// it occupied. The slot becomes free.
     pub fn extract(&mut self, line: LineAddr) -> Option<(bool, Slot)> {
-        let (set, tag) = self.split(line);
-        let base = set as usize * self.stride;
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                let dirty = w.dirty;
-                *w = Way::default();
-                if tlc_obs::ENABLED {
-                    self.live.retire(self.hit_counts[base + i]);
-                    self.hit_counts[base + i] = 0;
-                }
-                return Some((dirty, Slot { set, way: i as u32 }));
-            }
+        let way = self.find(line)?;
+        let set = self.set_index(line);
+        Some((self.take(self.base(set) + way), Slot { set, way: way as u32 }))
+    }
+
+    /// Frees the way at `idx`, ending its generation, and returns its
+    /// dirty bit.
+    #[inline(always)]
+    fn take(&mut self, idx: usize) -> bool {
+        if tlc_obs::ENABLED {
+            self.live.retire(self.hit_counts[idx]);
+            self.hit_counts[idx] = 0;
         }
-        None
+        std::mem::replace(&mut self.ways[idx], INVALID) & 1 == 1
     }
 
     /// Invalidates `line` if present; returns whether it was present.
@@ -646,28 +633,25 @@ impl Cache {
     /// liveness generations end here).
     pub fn flush(&mut self) {
         if tlc_obs::ENABLED {
-            for (w, c) in self.ways.iter().zip(self.hit_counts.iter_mut()) {
-                if w.valid {
+            for (&w, c) in self.ways.iter().zip(self.hit_counts.iter_mut()) {
+                if w != INVALID {
                     self.live.retire(*c);
                 }
                 *c = 0;
             }
         }
-        for w in &mut self.ways {
-            *w = Way::default();
-        }
+        self.ways.fill(INVALID);
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> u64 {
-        self.ways.iter().filter(|w| w.valid).count() as u64
+        self.ways.iter().filter(|&&w| w != INVALID).count() as u64
     }
 
-    /// Iterates over all resident lines (for auditors and tests).
+    /// Iterates over all resident lines, set by set (for auditors and
+    /// tests).
     pub fn iter_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.ways.chunks(self.stride).enumerate().flat_map(move |(set, ways)| {
-            ways.iter().filter(|w| w.valid).map(move |w| self.join(set as u64, w.tag))
-        })
+        self.ways.iter().filter(|&&w| w != INVALID).map(|&w| LineAddr(w >> 1))
     }
 }
 
@@ -830,6 +814,22 @@ mod tests {
         let conflicting = LineAddr(big.0 + 256);
         let ev = c.fill(conflicting, false).unwrap();
         assert_eq!(ev.line, big, "evicted line address reconstructed incorrectly");
+    }
+
+    #[test]
+    fn packed_ways_hold_the_highest_lines() {
+        // 4-byte lines: the top byte address is line 2^62 - 1, whose
+        // dirty word is 2^63 - 1 — one below the empty-way word.
+        let cfg = CacheConfig::new(64, 4, Associativity::Direct, ReplacementKind::Lru).unwrap();
+        let mut c = Cache::new(cfg);
+        let top = Addr::new(u64::MAX).line(4);
+        assert_eq!(top, LineAddr((1 << 62) - 1));
+        assert!(!c.access(top, true));
+        assert_eq!(c.fill(top, true), None);
+        assert!(c.contains(top) && !c.contains(LineAddr(top.0 & 15)));
+        assert_eq!(c.iter_lines().collect::<Vec<_>>(), vec![top]);
+        let ev = c.fill(LineAddr(top.0 & 15), false).unwrap();
+        assert_eq!(ev, Evicted { line: top, dirty: true });
     }
 
     #[test]

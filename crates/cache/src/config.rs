@@ -93,6 +93,10 @@ pub enum ConfigError {
     BadWays(u32),
     /// Tree-PLRU requires a power-of-two way count ≤ 64.
     PlruWays(u32),
+    /// Lines must be at least 4 bytes: that keeps every line address of
+    /// a 64-bit byte address below 2^62, inside the packed
+    /// `(line << 1) | dirty` word a [`Cache`](crate::Cache) way holds.
+    LineTooShort(u64),
 }
 
 impl fmt::Display for ConfigError {
@@ -111,11 +115,17 @@ impl fmt::Display for ConfigError {
             ConfigError::PlruWays(w) => {
                 write!(f, "tree-PLRU needs a power-of-two way count <= 64, got {w}")
             }
+            ConfigError::LineTooShort(b) => {
+                write!(f, "line size must be at least {MIN_LINE_BYTES} bytes, got {b}")
+            }
         }
     }
 }
 
 impl Error for ConfigError {}
+
+/// Shortest accepted line (see [`ConfigError::LineTooShort`]).
+const MIN_LINE_BYTES: u64 = 4;
 
 /// Geometry and policy of one cache.
 ///
@@ -146,8 +156,9 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if sizes are not powers of two, the cache
-    /// is smaller than one line per way, or the way count is invalid.
+    /// Returns a [`ConfigError`] if sizes are not powers of two, lines
+    /// are shorter than 4 bytes, the cache is smaller than one line per
+    /// way, or the way count is invalid.
     pub fn new(
         size_bytes: u64,
         line_bytes: u64,
@@ -159,6 +170,9 @@ impl CacheConfig {
         }
         if !line_bytes.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo { what: "line size", value: line_bytes });
+        }
+        if line_bytes < MIN_LINE_BYTES {
+            return Err(ConfigError::LineTooShort(line_bytes));
         }
         let lines = size_bytes / line_bytes;
         if lines == 0 {
@@ -302,6 +316,19 @@ mod tests {
             CacheConfig::new(8, 16, Associativity::Direct, ReplacementKind::Lru),
             Err(ConfigError::TooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_lines_shorter_than_four_bytes() {
+        for line in [1u64, 2] {
+            assert_eq!(
+                CacheConfig::new(64, line, Associativity::Direct, ReplacementKind::Lru),
+                Err(ConfigError::LineTooShort(line))
+            );
+        }
+        assert!(CacheConfig::new(64, 4, Associativity::Direct, ReplacementKind::Lru).is_ok());
+        let e = CacheConfig::new(64, 1, Associativity::Direct, ReplacementKind::Lru).unwrap_err();
+        assert!(e.to_string().contains("at least 4 bytes"));
     }
 
     #[test]

@@ -26,23 +26,25 @@
 //! The conventional and single-level hierarchies fill the L1 with
 //! `is_write` only, so for them the recorded bit *is* the dirty bit.
 //!
-//! This module owns the L1 side (the capture) and the event walk; the L2
-//! back-ends live in [`filter_family`](crate::filter_family). Their
-//! replacement state (including the pseudo-random LFSR) is driven by
-//! exactly the same call sequence as in the monolithic hierarchies, so
-//! every statistic is bit-identical — the equivalence suite in
+//! This module owns the L1 side (the capture, over the same split-L1
+//! front half the monolithic hierarchies use) and the event walk; the L2
+//! back-ends live in [`filter_family`](crate::filter_family), where each
+//! member is a [`Cache`](crate::Cache) stepped by the monolithic
+//! hierarchy's own L2 step. Every statistic is therefore bit-identical
+//! by construction — and the equivalence suite in
 //! `tests/arena_equivalence.rs` pins them to the arena engine across
 //! every benchmark.
 
-use crate::cache::{Cache, Liveness};
+use crate::cache::Liveness;
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::single::SplitL1;
 use crate::stats::HierarchyStats;
 use tlc_trace::events::{
     EventArena, EventChunkView, EVENT_HAS_VICTIM, EVENT_KIND_FETCH, EVENT_KIND_MASK,
     EVENT_VICTIM_WRITTEN,
 };
-use tlc_trace::{AccessKind, LineAddr, MemRef, MissEvent, VictimLine};
+use tlc_trace::{LineAddr, MemRef, MissEvent, VictimLine};
 
 /// The L1 side of a decomposed hierarchy: split direct-mapped I/D caches
 /// that record one [`MissEvent`] per L1 miss into an [`EventArena`].
@@ -54,21 +56,16 @@ use tlc_trace::{AccessKind, LineAddr, MemRef, MissEvent, VictimLine};
 /// bookmarks the warm-up boundary in the event stream, so back-ends can
 /// reset their counters at the same instant.
 ///
-/// Statistics follow the store-only dirty convention: the L1 fills with
-/// `is_write`, matching the single-level and conventional hierarchies
-/// bit-for-bit; the exclusive back-end layers the L2-dependent dirty
-/// component on top (see the module docs).
+/// The lookup is the same `SplitL1` front half the per-access
+/// hierarchies use, same-line fetch filter included (a filtered repeat
+/// fetch emits no event). Statistics follow the store-only dirty
+/// convention: the L1 fills with `is_write`, matching the single-level
+/// and conventional hierarchies bit-for-bit; the exclusive back-end
+/// layers the L2-dependent dirty component on top (see the module docs).
 #[derive(Debug)]
 pub struct L1FrontEnd {
-    l1i: Cache,
-    l1d: Cache,
-    line_bytes: u64,
+    l1: SplitL1,
     stats: HierarchyStats,
-    /// Same-line fetch filter, identical to the monolithic hierarchies
-    /// (see [`SingleLevel`](crate::SingleLevel)): the last fetched line
-    /// is resident by construction, so a repeat fetch is a guaranteed
-    /// hit — and emits no event.
-    last_fetch: u64,
     events: EventArena,
     warmup_events: u64,
     /// Lifetime reference count (instrumented builds only; stays 0 and
@@ -87,14 +84,11 @@ impl L1FrontEnd {
     /// it: a victim and its displacer share the single way of one set, so
     /// the exclusive back-end can mirror fill-dirty state per set.
     pub fn new(l1_cfg: CacheConfig) -> Self {
-        let l1i = Cache::new(l1_cfg);
-        assert!(l1i.is_direct_mapped(), "miss-stream filtering requires a direct-mapped L1");
+        let l1 = SplitL1::new(l1_cfg);
+        assert!(l1.l1i.is_direct_mapped(), "miss-stream filtering requires a direct-mapped L1");
         L1FrontEnd {
-            l1i,
-            l1d: Cache::new(l1_cfg),
-            line_bytes: l1_cfg.line_bytes(),
+            l1,
             stats: HierarchyStats::default(),
-            last_fetch: u64::MAX,
             events: EventArena::new(),
             warmup_events: 0,
             total_refs: 0,
@@ -141,18 +135,17 @@ impl L1FrontEnd {
         tlc_obs::obs_count!(tlc_obs::Counter::FilterEventBytes, self.events.bytes() as u64);
         let events = std::mem::replace(&mut self.events, EventArena::new());
         let warmup_events = std::mem::take(&mut self.warmup_events);
-        let l1_stats = self.stats;
-        self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        let l1_stats = std::mem::take(&mut self.stats);
+        self.l1.reset_stats();
         self.total_refs = 0;
+        let cfg = self.l1.l1i.config();
         MissStream {
             name: name.to_string(),
             events,
             warmup_events,
             l1_stats,
-            l1_size_bytes: self.l1i.config().size_bytes(),
-            line_bytes: self.line_bytes,
+            l1_size_bytes: cfg.size_bytes(),
+            line_bytes: cfg.line_bytes(),
         }
     }
 }
@@ -163,32 +156,13 @@ impl MemorySystem for L1FrontEnd {
         if tlc_obs::ENABLED {
             self.total_refs += 1;
         }
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let is_fetch = r.kind == AccessKind::InstrFetch;
-        let victim = if is_fetch {
-            self.stats.instructions += 1;
-            if line.0 == self.last_fetch {
-                self.l1i.note_filtered_hit();
-                return ServiceLevel::L1;
-            }
-            self.last_fetch = line.0;
-            if self.l1i.access(line, false) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1i_misses += 1;
-            self.l1i.fill_after_miss(line, false)
-        } else {
-            self.stats.data_refs += 1;
-            if self.l1d.access(line, is_write) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1d_misses += 1;
-            self.l1d.fill_after_miss(line, is_write)
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
+            return ServiceLevel::L1;
         };
+        let victim = self.l1.fill(miss, miss.write);
         self.events.push(MissEvent {
             kind: r.kind,
-            line,
+            line: miss.line,
             victim: victim.map(|v| VictimLine { line: v.line, written: v.dirty }),
         });
         ServiceLevel::Memory
@@ -203,13 +177,12 @@ impl MemorySystem for L1FrontEnd {
     /// warm-up events to warm their L2 state).
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
         self.warmup_events = self.events.len();
     }
 
     fn describe(&self) -> String {
-        format!("L1 miss-stream front-end: split L1 {}", self.l1i.config())
+        format!("L1 miss-stream front-end: split L1 {}", self.l1.l1i.config())
     }
 }
 

@@ -4,32 +4,29 @@
 //! The design spaces of the paper vary, for a fixed L1, only the L2
 //! *capacity* (§2.1: L2 from 2×L1 up to 256KB, same 16B lines, same
 //! associativity). [`L2Family`] decodes each packed 17-byte event of a
-//! captured [`MissStream`] once and fans it into N structure-of-arrays L2
-//! states — per-configuration slot arrays, counters, a per-member
-//! replacement bank (`ReplBank`) holding the policy words
-//! (LRU/FIFO stamps, PLRU tree bits, SRRIP RRPVs) alongside the
-//! `(line<<1)|dirty` slot words, and crucially a **per-configuration
-//! [`Lfsr16`]**, so pseudo-random replacement draws happen in exactly the
-//! order a standalone L2 would make them and every statistic stays
-//! bit-identical to the monolithic hierarchies. A family of one member is
-//! the per-configuration replay; there is no separate scalar back-end.
+//! captured [`MissStream`] once and fans it into N members, each a plain
+//! [`Cache`] — its own ways, replacement state, [`Lfsr16`], hit counts
+//! and liveness tallies — stepped by the very policy code the per-access
+//! hierarchies run (`conventional_l2_step`, `exclusive_l2_step`). A
+//! family of one member is the per-configuration replay; there is no
+//! separate scalar back-end.
+//!
+//! [`Lfsr16`]: crate::Lfsr16
 //!
 //! ## Why batching preserves the bit-exact contract
 //!
 //! Each member's L2 observes the same event sequence it would see alone:
 //! the batched loop applies one event to every member before moving on,
-//! and members never share mutable state. Replacement state is a replica
-//! of the scalar [`Cache`](crate::Cache)'s: the same `ReplBank` state
-//! machines, driven by the same touch/fill/victim call sequence — so
-//! stamp clocks, tree bits, and RRPVs evolve identically, and the only
-//! stateful randomness (the pseudo-random LFSR, consulted *only* when a
-//! set-associative fill finds no free way) is carried per member with the
-//! same seed as a fresh `Cache`. Members may even mix replacement
-//! policies: each bank is built from its own member's configuration. The
-//! exclusive policy's per-L1-set fill-dirty mirror must also be per
-//! member — its entries come out of the member's own L2 extracts, whose
-//! dirty bits depend on L2 capacity — so it is carried per configuration,
-//! not once per family (see `docs/models.md`).
+//! and members never share mutable state. A member *is* the L2 `Cache`
+//! of the monolithic hierarchy, driven through the same L2 step, so its
+//! stamp clocks, tree bits, RRPVs and pseudo-random LFSR draws evolve
+//! exactly as in a standalone hierarchy — by construction, not by a
+//! replica kept in step. Members may even mix replacement policies: each
+//! cache is built from its own member's configuration. The exclusive
+//! policy's per-L1-set fill-dirty mirror must also be per member — its
+//! entries come out of the member's own L2 extracts, whose dirty bits
+//! depend on L2 capacity — so it is carried per configuration, not once
+//! per family (see `docs/models.md`).
 //!
 //! ## The direct-mapped fast path
 //!
@@ -52,211 +49,86 @@
 //! warm-up boundary. This is the L2 half of stitched warming for sampled
 //! sweeps; a whole stream is simply a family's only segment.
 
-use crate::cache::{LiveTally, Liveness, ReplBank};
+use crate::cache::{Cache, Evicted, Liveness};
 use crate::config::CacheConfig;
+use crate::exclusive::{exclusive_l2_step, ExclusiveOutcome};
 use crate::filter::{flush_l2_counters, walk_events, EventSink, MissStream};
-use crate::replacement::Lfsr16;
 use crate::stats::HierarchyStats;
+use crate::twolevel::conventional_l2_step;
 use tlc_trace::LineAddr;
 
-/// Slot encoding: `(line << 1) | dirty`, with `u64::MAX` as the invalid
-/// sentinel. `INVALID >> 1` is `2^63 - 1`, which can never equal a real
-/// line address (lines are byte addresses divided by the line size), so
-/// a single shifted compare tests "valid and tag matches".
-const INVALID: u64 = u64::MAX;
-
-/// One member's L2 array plus its private replacement bank, counters,
-/// liveness tallies, and LFSR.
-///
-/// Slots are set-major (`slots[set * ways + way]`), matching
-/// [`Cache`](crate::Cache)'s layout, but hold one packed `u64` per way
-/// instead of a 16-byte `Way` struct: half the memory touched per probe.
-/// The policy words live in the member's [`ReplBank`] — the same state
-/// machines the scalar cache uses, so bit-compatibility holds by
-/// construction.
+/// One member of a two-level family: the member's L2 and its counters.
 #[derive(Debug)]
-struct L2State {
-    slots: Vec<u64>,
-    set_mask: u64,
-    repl: ReplBank,
-    lfsr: Lfsr16,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
-    /// Lifetime LFSR victim draws (instrumented builds only; only
-    /// pseudo-random members ever draw). Not touched by
-    /// [`L2State::reset_counters`] — the LFSR itself is never reset,
-    /// matching the scalar [`Cache`](crate::Cache) count.
-    lfsr_draws: u64,
-    /// Lifetime fig-21a swaps (instrumented exclusive families only;
-    /// lifetime for the same reason as `lfsr_draws`).
+struct Member {
+    l2: Cache,
+    /// Measured-window `l2_hits`, `l2_misses` and `offchip_writebacks`.
+    stats: HierarchyStats,
+    /// Lifetime Figure 21-a swaps (exclusive members, instrumented
+    /// builds only). Never reset, like the LFSR draw count.
     swaps: u64,
-    /// Per-slot demand-hit counts since the slot's last fill, saturating
-    /// at 255 (instrumented builds only; empty otherwise).
-    hit_counts: Vec<u8>,
-    /// Departed fill-generation tallies (see
-    /// [`Liveness`](crate::Liveness)); lifetime, like `lfsr_draws`.
-    live: LiveTally,
+    /// Exclusive members only (empty otherwise): per L1 set, "the current
+    /// resident was filled from a dirty L2 extract" — `[L1D, L1I]`.
+    mirror: [Vec<bool>; 2],
 }
 
-impl L2State {
-    fn new(cfg: &CacheConfig) -> Self {
-        let lines = cfg.lines() as usize;
-        L2State {
-            slots: vec![INVALID; lines],
-            set_mask: cfg.num_sets() - 1,
-            repl: ReplBank::new(cfg.replacement(), cfg.num_sets() as usize, cfg.ways() as usize),
-            lfsr: Lfsr16::default(),
-            hits: 0,
-            misses: 0,
-            writebacks: 0,
-            lfsr_draws: 0,
+impl Member {
+    fn new(cfg: &CacheConfig, l1_sets: usize) -> Self {
+        Member {
+            l2: Cache::new(*cfg),
+            stats: HierarchyStats::default(),
             swaps: 0,
-            hit_counts: if tlc_obs::ENABLED { vec![0; lines] } else { Vec::new() },
-            live: LiveTally::default(),
+            mirror: [vec![false; l1_sets], vec![false; l1_sets]],
         }
     }
 
-    fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.writebacks = 0;
-    }
-
-    /// Counts a demand hit on the slot at `idx` (no-op uninstrumented).
-    #[inline]
-    fn note_hit(&mut self, idx: usize) {
-        if tlc_obs::ENABLED {
-            let c = &mut self.hit_counts[idx];
-            *c = c.saturating_add(1);
-        }
-    }
-
-    /// Lifetime liveness, classifying still-resident slots by their hits
-    /// so far — the member-level analogue of
-    /// [`Cache::liveness`](crate::Cache::liveness).
-    fn liveness(&self) -> Liveness {
-        self.live.snapshot(
-            self.slots.iter().zip(&self.hit_counts).filter(|(&s, _)| s != INVALID).map(|(_, &h)| h),
-        )
-    }
-
-    /// Replica of
-    /// [`Cache::fill_after_miss`](crate::Cache::fill_after_miss) for any
-    /// policy: a 1-way set fills its only way with no replacement
-    /// bookkeeping; otherwise a free way is taken first (no draw), else
-    /// the bank picks a victim (one LFSR draw for pseudo-random members)
-    /// — exactly the scalar call order, so stamp clocks and RRPVs match.
-    /// Counts a dirty eviction as an off-chip writeback.
-    #[inline]
-    fn fill_after_miss(&mut self, ways: usize, line: u64, dirty: bool) {
-        let set = (line & self.set_mask) as usize;
-        let base = set * ways;
-        let way = if ways == 1 {
-            0
-        } else if let Some(i) = (0..ways).find(|&i| self.slots[base + i] == INVALID) {
-            self.repl.filled(set, ways, i as u32, ways as u32);
-            i
-        } else {
-            if tlc_obs::ENABLED && matches!(self.repl, ReplBank::Random) {
-                self.lfsr_draws += 1;
-            }
-            let w = self.repl.victim(set, ways, ways as u32, &mut self.lfsr);
-            self.repl.filled(set, ways, w, ways as u32);
-            w as usize
-        };
-        let old = self.slots[base + way];
-        if tlc_obs::ENABLED {
-            self.live.fill();
-            if old != INVALID {
-                self.live.retire(self.hit_counts[base + way]);
-            }
-            self.hit_counts[base + way] = 0;
-        }
-        if old != INVALID && old & 1 == 1 {
-            self.writebacks += 1;
-        }
-        self.slots[base + way] = (line << 1) | dirty as u64;
-    }
-
-    /// Replica of
-    /// [`Cache::merge_if_present`](crate::Cache::merge_if_present):
-    /// merge the dirty bit into a resident copy and refresh its
-    /// replacement state, reporting whether one was found. A write-back
-    /// merge is not a demand hit, so the liveness tallies don't move.
-    #[inline]
-    fn merge_if_present(&mut self, ways: usize, line: u64, dirty: bool) -> bool {
-        let set = (line & self.set_mask) as usize;
-        let base = set * ways;
-        for i in 0..ways {
-            if self.slots[base + i] >> 1 == line {
-                self.slots[base + i] |= dirty as u64;
-                self.repl.touch(set, ways, i as u32, ways as u32);
-                return true;
-            }
-        }
-        false
+    fn counters(&self) -> (u64, u64, u64) {
+        (self.stats.l2_hits, self.stats.l2_misses, self.stats.offchip_writebacks)
     }
 }
 
-/// Batched conventional back-end, one [`L2State`] per member: the same
-/// L2 call sequence as
-/// [`ConventionalTwoLevel`](crate::ConventionalTwoLevel)'s miss path.
-///
-/// `W` is the compile-time associativity — the hot set scans unroll for
-/// the common widths (2/4/8-way); `W = 0` selects the dynamic fallback
-/// that reads the width from `ways` at run time.
+/// Lifetime `(lfsr_draws, swaps, liveness)` summed over `members`.
+fn lifetime(members: &[Member]) -> (u64, u64, Liveness) {
+    let mut live = Liveness::default();
+    for m in members {
+        live.merge(m.l2.liveness());
+    }
+    let draws = members.iter().map(|m| m.l2.lfsr_draws()).sum();
+    (draws, members.iter().map(|m| m.swaps).sum(), live)
+}
+
+/// Clears every member's measured counters at a warm-up boundary.
+fn reset_members(members: &mut [Member]) {
+    for m in members {
+        m.stats = HierarchyStats::default();
+    }
+}
+
+/// Batched conventional back-end: every member runs
+/// [`conventional_l2_step`], the step behind
+/// [`ConventionalTwoLevel`](crate::ConventionalTwoLevel).
 #[derive(Debug)]
-struct ConventionalFamily<const W: usize> {
-    states: Vec<L2State>,
-    ways: usize,
+struct ConventionalFamily {
+    members: Vec<Member>,
 }
 
-impl<const W: usize> ConventionalFamily<W> {
-    fn new(l2_cfgs: &[CacheConfig], ways: usize) -> Self {
-        ConventionalFamily { states: l2_cfgs.iter().map(L2State::new).collect(), ways }
-    }
-}
-
-impl<const W: usize> EventSink for ConventionalFamily<W> {
+impl EventSink for ConventionalFamily {
     #[inline]
     fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let l = line.0;
-        let ways = if W == 0 { self.ways } else { W };
-        for st in &mut self.states {
-            let set = (l & st.set_mask) as usize;
-            let base = set * ways;
-            let hit = (0..ways).find(|&i| st.slots[base + i] >> 1 == l);
-            if let Some(hw) = hit {
-                // `access(line, false)`: the dirty-merge of `false` is a
-                // no-op, but the policy touch is not (LRU/PLRU/SRRIP all
-                // promote on hits).
-                st.hits += 1;
-                if ways > 1 {
-                    st.repl.touch(set, ways, hw as u32, ways as u32);
-                }
-                st.note_hit(base + hw);
-            } else {
-                st.misses += 1;
-                st.fill_after_miss(ways, l, false);
-            }
-            if let Some((vline, written)) = victim {
-                if written && !st.merge_if_present(ways, vline.0, true) {
-                    st.writebacks += 1;
-                }
-            }
+        // A conventional L1 fills with the store bit only, so the
+        // recorded written bit *is* the victim's dirty bit.
+        let victim = victim.map(|(line, dirty)| Evicted { line, dirty });
+        for m in &mut self.members {
+            conventional_l2_step(&mut m.l2, line, victim, &mut m.stats);
         }
     }
 
     fn reset_counters(&mut self) {
-        for st in &mut self.states {
-            st.reset_counters();
-        }
+        reset_members(&mut self.members);
     }
 }
 
-/// Batched exclusive back-end: the same L2 call sequence as
-/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)'s miss path.
+/// Batched exclusive back-end: every member runs [`exclusive_l2_step`],
+/// the step behind [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel).
 ///
 /// The one L2-dependent bit of L1 state is reconstructed here: when an
 /// L1-miss/L2-hit fills the L1, the monolithic hierarchy marks the L1
@@ -269,121 +141,35 @@ impl<const W: usize> EventSink for ConventionalFamily<W> {
 /// entries come out of the member's own L2 extracts, whose dirty bits
 /// depend on that member's capacity (see the module docs).
 #[derive(Debug)]
-struct ExclusiveFamilyMember {
-    l2: L2State,
-    /// "Current resident was filled from a dirty L2 extract", per L1I set.
-    mirror_i: Vec<bool>,
-    /// Same, per L1D set.
-    mirror_d: Vec<bool>,
-}
-
-#[derive(Debug)]
-struct ExclusiveFamily<const W: usize> {
-    members: Vec<ExclusiveFamilyMember>,
-    ways: usize,
+struct ExclusiveFamily {
+    members: Vec<Member>,
     l1_set_mask: u64,
 }
 
-impl<const W: usize> ExclusiveFamily<W> {
-    fn new(l2_cfgs: &[CacheConfig], ways: usize, l1_sets: usize) -> Self {
-        ExclusiveFamily {
-            members: l2_cfgs
-                .iter()
-                .map(|cfg| ExclusiveFamilyMember {
-                    l2: L2State::new(cfg),
-                    mirror_i: vec![false; l1_sets],
-                    mirror_d: vec![false; l1_sets],
-                })
-                .collect(),
-            ways,
-            l1_set_mask: l1_sets as u64 - 1,
-        }
-    }
-}
-
-impl<const W: usize> EventSink for ExclusiveFamily<W> {
+impl EventSink for ExclusiveFamily {
     #[inline]
     fn consume(&mut self, fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let l = line.0;
-        let ways = if W == 0 { self.ways } else { W };
-        let set = (l & self.l1_set_mask) as usize;
+        let set = (line.0 & self.l1_set_mask) as usize;
         for m in &mut self.members {
-            let mirror = if fetch { &mut m.mirror_i } else { &mut m.mirror_d };
-            // Read the victim's fill-dirty component BEFORE the new fill
-            // overwrites the set's mirror entry.
-            let victim = victim.map(|(vline, written)| (vline.0, written || mirror[set]));
-            let st = &mut m.l2;
-            let l2_set = (l & st.set_mask) as usize;
-            let base = l2_set * ways;
-            let hit_way = (0..ways).find(|&w| st.slots[base + w] >> 1 == l);
-            if let Some(hw) = hit_way {
-                // `access`: count the hit, touch, bump the hit count...
-                st.hits += 1;
-                if ways > 1 {
-                    st.repl.touch(l2_set, ways, hw as u32, ways as u32);
-                }
-                st.note_hit(base + hw);
-                // ...then `extract`: read the dirty bit, end the slot's
-                // fill generation (its hits include the one just
-                // counted), and free the slot.
-                let dirty = st.slots[base + hw] & 1;
-                st.slots[base + hw] = INVALID;
-                if tlc_obs::ENABLED {
-                    st.live.retire(st.hit_counts[base + hw]);
-                    st.hit_counts[base + hw] = 0;
-                }
-                mirror[set] = dirty == 1;
-                match victim {
-                    Some((vl, vdirty)) => {
-                        if (vl & st.set_mask) == (l & st.set_mask)
-                            && !st.slots[base..base + ways].iter().any(|&s| s >> 1 == vl)
-                        {
-                            // Figure 21-a swap: the victim takes the
-                            // requested line's way (`fill_at(vline)`).
-                            if tlc_obs::ENABLED {
-                                st.swaps += 1;
-                                st.live.fill();
-                            }
-                            st.slots[base + hw] = (vl << 1) | vdirty as u64;
-                            st.repl.filled(l2_set, ways, hw as u32, ways as u32);
-                        } else {
-                            // `fill_at(line)` back into its freed way,
-                            // then send the victim separately.
-                            if tlc_obs::ENABLED {
-                                st.live.fill();
-                            }
-                            st.slots[base + hw] = (l << 1) | dirty;
-                            st.repl.filled(l2_set, ways, hw as u32, ways as u32);
-                            if !st.merge_if_present(ways, vl, vdirty) {
-                                st.fill_after_miss(ways, vl, vdirty);
-                            }
-                        }
-                    }
-                    None => {
-                        if tlc_obs::ENABLED {
-                            st.live.fill();
-                        }
-                        st.slots[base + hw] = (l << 1) | dirty;
-                        st.repl.filled(l2_set, ways, hw as u32, ways as u32);
-                    }
-                }
-            } else {
-                st.misses += 1;
-                // Off-chip refill bypasses the L2: no fill-dirty component.
-                mirror[set] = false;
-                if let Some((vl, vdirty)) = victim {
-                    if !st.merge_if_present(ways, vl, vdirty) {
-                        st.fill_after_miss(ways, vl, vdirty);
-                    }
-                }
+            let mirror = &mut m.mirror[fetch as usize];
+            // The "L1 fill" of the shared step: hand back the recorded
+            // victim with its fill-dirty component, read BEFORE this
+            // fill's extract bit overwrites the set's mirror entry.
+            let fill_l1 = |dirty| {
+                let victim =
+                    victim.map(|(line, written)| Evicted { line, dirty: written || mirror[set] });
+                mirror[set] = dirty;
+                victim
+            };
+            let outcome = exclusive_l2_step(&mut m.l2, line, fill_l1, &mut m.stats);
+            if tlc_obs::ENABLED && outcome == ExclusiveOutcome::Swap {
+                m.swaps += 1;
             }
         }
     }
 
     fn reset_counters(&mut self) {
-        for m in &mut self.members {
-            m.l2.reset_counters();
-        }
+        reset_members(&mut self.members);
     }
 }
 
@@ -402,14 +188,13 @@ impl<const W: usize> EventSink for ExclusiveFamily<W> {
 /// by prefix sums at the end.
 ///
 /// Dirty bits are *not* inclusive (an install at a small size clears the
-/// bit a larger size preserves), so they live in the per-size slot
-/// arrays as usual — and so do the per-set hit counts behind the
-/// liveness tallies, which follow each member's own fill generations.
+/// bit a larger size preserves), so each size keeps its own direct-mapped
+/// [`Cache`] as usual — and so its own hit counts and liveness tallies,
+/// which follow that member's fill generations.
 #[derive(Debug)]
 struct DmConventionalFamily {
-    /// Per size (ascending): one slot per set.
-    slots: Vec<Vec<u64>>,
-    set_masks: Vec<u64>,
+    /// Per size (ascending): the member's direct-mapped L2.
+    caches: Vec<Cache>,
     /// `order[k]`: the input index of the `k`-th smallest member.
     order: Vec<usize>,
     /// `hit_hist[t]`: events whose smallest hitting size index is `t`.
@@ -418,11 +203,6 @@ struct DmConventionalFamily {
     vic_hist: Vec<u64>,
     /// Dirty evictions on install, per size.
     evict_wb: Vec<u64>,
-    /// Per size: per-set demand-hit counts since the slot's last install
-    /// (instrumented builds only; empty otherwise).
-    hit_counts: Vec<Vec<u8>>,
-    /// Per size: departed fill-generation tallies.
-    live: Vec<LiveTally>,
 }
 
 impl DmConventionalFamily {
@@ -431,33 +211,20 @@ impl DmConventionalFamily {
         // relative order); `counters` scatters back to input order.
         let mut order: Vec<usize> = (0..l2_cfgs.len()).collect();
         order.sort_by_key(|&i| l2_cfgs[i].size_bytes());
-        let sets: Vec<u64> = order.iter().map(|&i| l2_cfgs[i].num_sets()).collect();
-        let k = sets.len();
+        let k = order.len();
         DmConventionalFamily {
-            slots: sets.iter().map(|&n| vec![INVALID; n as usize]).collect(),
-            set_masks: sets.iter().map(|&n| n - 1).collect(),
+            caches: order.iter().map(|&i| Cache::new(l2_cfgs[i])).collect(),
             order,
             hit_hist: vec![0; k + 1],
             vic_hist: vec![0; k + 1],
             evict_wb: vec![0; k],
-            hit_counts: if tlc_obs::ENABLED {
-                sets.iter().map(|&n| vec![0; n as usize]).collect()
-            } else {
-                Vec::new()
-            },
-            live: vec![LiveTally::default(); k],
         }
     }
 
     /// Smallest size index at which `line` is resident, or `len` if none.
     #[inline]
-    fn threshold(&self, line: u64) -> usize {
-        for (k, mask) in self.set_masks.iter().enumerate() {
-            if self.slots[k][(line & mask) as usize] >> 1 == line {
-                return k;
-            }
-        }
-        self.set_masks.len()
+    fn threshold(&self, line: LineAddr) -> usize {
+        self.caches.iter().position(|c| c.contains(line)).unwrap_or(self.caches.len())
     }
 
     /// Per-member `(l2_hits, l2_misses, offchip_writebacks)` in input
@@ -475,68 +242,30 @@ impl DmConventionalFamily {
         }
         out
     }
-
-    /// Family-total liveness: each member's tallies snapshotted over its
-    /// residents, then summed (the obs counters aggregate members).
-    fn liveness_total(&self) -> Liveness {
-        if !tlc_obs::ENABLED {
-            return Liveness::default();
-        }
-        let mut total = Liveness::default();
-        for (k, live) in self.live.iter().enumerate() {
-            total.merge(
-                live.snapshot(
-                    self.slots[k]
-                        .iter()
-                        .zip(&self.hit_counts[k])
-                        .filter(|(&s, _)| s != INVALID)
-                        .map(|(_, &h)| h),
-                ),
-            );
-        }
-        total
-    }
 }
 
 impl EventSink for DmConventionalFamily {
     #[inline]
     fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let l = line.0;
-        let t = self.threshold(l);
+        let t = self.threshold(line);
         self.hit_hist[t] += 1;
         if tlc_obs::ENABLED {
             // Sizes at or above the threshold hit: a demand hit on each
-            // member's resident generation.
-            for k in t..self.set_masks.len() {
-                let c = &mut self.hit_counts[k][(l & self.set_masks[k]) as usize];
-                *c = c.saturating_add(1);
+            // member's resident generation, for the liveness tallies.
+            for c in &mut self.caches[t..] {
+                c.access(line, false);
             }
         }
-        for k in 0..t {
-            let idx = (l & self.set_masks[k]) as usize;
-            let slot = self.slots[k][idx];
-            if slot != INVALID && slot & 1 == 1 {
-                self.evict_wb[k] += 1;
+        for (c, wb) in self.caches[..t].iter_mut().zip(&mut self.evict_wb) {
+            if let Some(ev) = c.fill_after_miss(line, false) {
+                *wb += ev.dirty as u64;
             }
-            if tlc_obs::ENABLED {
-                self.live[k].fill();
-                if slot != INVALID {
-                    self.live[k].retire(self.hit_counts[k][idx]);
-                }
-                self.hit_counts[k][idx] = 0;
-            }
-            self.slots[k][idx] = l << 1;
         }
-        if let Some((vline, written)) = victim {
-            if written {
-                let vl = vline.0;
-                let tv = self.threshold(vl);
-                self.vic_hist[tv] += 1;
-                // Write-back merges refresh the dirty bit only — not a
-                // demand hit, so the hit counts stay put.
-                for k in tv..self.set_masks.len() {
-                    self.slots[k][(vl & self.set_masks[k]) as usize] |= 1;
-                }
+        if let Some((vline, true)) = victim {
+            let tv = self.threshold(vline);
+            self.vic_hist[tv] += 1;
+            for c in &mut self.caches[tv..] {
+                c.merge_if_present(vline, true);
             }
         }
     }
@@ -606,38 +335,33 @@ impl Family for DmConventionalFamily {
 
     fn lifetime(&self) -> Option<(u64, u64, Liveness)> {
         // Direct-mapped members have no replacement choice: no draws.
-        Some((0, 0, self.liveness_total()))
+        let mut live = Liveness::default();
+        for c in &self.caches {
+            live.merge(c.liveness());
+        }
+        Some((0, 0, live))
     }
 }
 
-impl<const W: usize> Family for ConventionalFamily<W> {
+impl Family for ConventionalFamily {
     fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
         walk_events(self, segment);
-        self.states.iter().map(|st| (st.hits, st.misses, st.writebacks)).collect()
+        self.members.iter().map(Member::counters).collect()
     }
 
     fn lifetime(&self) -> Option<(u64, u64, Liveness)> {
-        let mut live = Liveness::default();
-        for st in &self.states {
-            live.merge(st.liveness());
-        }
-        Some((self.states.iter().map(|st| st.lfsr_draws).sum(), 0, live))
+        Some(lifetime(&self.members))
     }
 }
 
-impl<const W: usize> Family for ExclusiveFamily<W> {
+impl Family for ExclusiveFamily {
     fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
         walk_events(self, segment);
-        self.members.iter().map(|m| (m.l2.hits, m.l2.misses, m.l2.writebacks)).collect()
+        self.members.iter().map(Member::counters).collect()
     }
 
     fn lifetime(&self) -> Option<(u64, u64, Liveness)> {
-        let mut live = Liveness::default();
-        for m in &self.members {
-            live.merge(m.l2.liveness());
-        }
-        let draws = self.members.iter().map(|m| m.l2.lfsr_draws).sum();
-        Some((draws, self.members.iter().map(|m| m.l2.swaps).sum(), live))
+        Some(lifetime(&self.members))
     }
 }
 
@@ -647,16 +371,17 @@ impl<const W: usize> Family for ExclusiveFamily<W> {
 /// # Panics
 ///
 /// Panics if a member's line size differs from the stream's, or members
-/// disagree on associativity (the batched set scans monomorphise on one
-/// way count). Replacement policies may differ per member — each member
-/// carries its own [`ReplBank`].
-fn family_ways(l2_cfgs: &[CacheConfig], geometry: &MissStream) -> usize {
+/// disagree on associativity (a family is one associativity, and the
+/// direct-mapped fast path needs every member direct-mapped).
+/// Replacement policies may differ per member — each member is its own
+/// [`Cache`].
+fn family_ways(l2_cfgs: &[CacheConfig], geometry: &MissStream) -> u32 {
     let ways = l2_cfgs.first().map_or(1, CacheConfig::ways);
     for cfg in l2_cfgs {
         assert_eq!(cfg.line_bytes(), geometry.line_bytes(), "L1 and L2 must share a line size");
         assert_eq!(cfg.ways(), ways, "family members disagree on associativity");
     }
-    ways as usize
+    ways
 }
 
 /// One configuration family's persistent L2 state: every member's L2
@@ -704,8 +429,8 @@ impl L2Family {
     /// for segments captured through the same L1 as `geometry`.
     ///
     /// A family of direct-mapped members takes the threshold/histogram
-    /// fast path (`DmConventionalFamily`); any other associativity takes
-    /// the generic batched loop. Every replacement policy is supported,
+    /// fast path (`DmConventionalFamily`); any other associativity steps
+    /// each member's [`Cache`] in turn. Every replacement policy is supported,
     /// and members may mix policies.
     ///
     /// # Panics
@@ -713,14 +438,11 @@ impl L2Family {
     /// Panics if a member's line size differs from `geometry`'s or the
     /// members disagree on associativity.
     pub fn conventional(l2_cfgs: &[CacheConfig], geometry: &MissStream) -> Self {
-        let ways = family_ways(l2_cfgs, geometry);
-        // Monomorphise the common associativities so the set scans unroll.
-        let back: Box<dyn Family> = match ways {
-            1 => Box::new(DmConventionalFamily::new(l2_cfgs)),
-            2 => Box::new(ConventionalFamily::<2>::new(l2_cfgs, ways)),
-            4 => Box::new(ConventionalFamily::<4>::new(l2_cfgs, ways)),
-            8 => Box::new(ConventionalFamily::<8>::new(l2_cfgs, ways)),
-            _ => Box::new(ConventionalFamily::<0>::new(l2_cfgs, ways)),
+        let back: Box<dyn Family> = if family_ways(l2_cfgs, geometry) == 1 {
+            Box::new(DmConventionalFamily::new(l2_cfgs))
+        } else {
+            let members = l2_cfgs.iter().map(|cfg| Member::new(cfg, 0)).collect();
+            Box::new(ConventionalFamily { members })
         };
         L2Family::with_back(back, geometry)
     }
@@ -734,16 +456,11 @@ impl L2Family {
     ///
     /// As [`conventional`](L2Family::conventional).
     pub fn exclusive(l2_cfgs: &[CacheConfig], geometry: &MissStream) -> Self {
-        let ways = family_ways(l2_cfgs, geometry);
+        family_ways(l2_cfgs, geometry);
         let sets = geometry.l1_sets();
-        let back: Box<dyn Family> = match ways {
-            1 => Box::new(ExclusiveFamily::<1>::new(l2_cfgs, ways, sets)),
-            2 => Box::new(ExclusiveFamily::<2>::new(l2_cfgs, ways, sets)),
-            4 => Box::new(ExclusiveFamily::<4>::new(l2_cfgs, ways, sets)),
-            8 => Box::new(ExclusiveFamily::<8>::new(l2_cfgs, ways, sets)),
-            _ => Box::new(ExclusiveFamily::<0>::new(l2_cfgs, ways, sets)),
-        };
-        L2Family::with_back(back, geometry)
+        let members = l2_cfgs.iter().map(|cfg| Member::new(cfg, sets)).collect();
+        let l1_set_mask = sets as u64 - 1;
+        L2Family::with_back(Box::new(ExclusiveFamily { members, l1_set_mask }), geometry)
     }
 
     /// Walks the next segment through the family's L2 state and returns
@@ -797,13 +514,13 @@ impl L2Family {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::Cache;
     use crate::config::{Associativity, ReplacementKind};
     use crate::filter::L1FrontEnd;
     use crate::hierarchy::MemorySystem;
-    use crate::oracle::{naive_replay_conventional, naive_replay_exclusive};
+    use crate::oracle::{naive_replay_conventional, naive_replay_exclusive, NaiveSystem};
+    use crate::{ConventionalTwoLevel, ExclusiveTwoLevel};
     use tlc_trace::spec::SpecBenchmark;
-    use tlc_trace::InstructionSource;
+    use tlc_trace::{Addr, InstructionSource, MemRef};
 
     fn l1_cfg(bytes: u64) -> CacheConfig {
         CacheConfig::new(bytes, 16, Associativity::Direct, ReplacementKind::PseudoRandom).unwrap()
@@ -996,63 +713,109 @@ mod tests {
         let _ = L2Family::conventional(&[l2_cfg(8192, 4)], &stream).replay(&other);
     }
 
-    /// Drives a plain [`Cache`] with the conventional back-end's exact
-    /// call order — the reference for the family's liveness tallies.
-    struct ScalarConvSink {
-        l2: Cache,
-    }
-
-    impl EventSink for ScalarConvSink {
-        fn consume(&mut self, _f: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-            if !self.l2.access(line, false) {
-                self.l2.fill_after_miss(line, false);
-            }
-            if let Some((vl, written)) = victim {
-                if written {
-                    self.l2.merge_if_present(vl, true);
-                }
-            }
+    /// Drives `sys` through the same window [`capture`] records.
+    fn drive<M: MemorySystem>(sys: &mut M, b: SpecBenchmark, warm: u64, n: u64) {
+        let mut w = b.workload();
+        for _ in 0..warm {
+            sys.access_instruction(&w.next_instruction_opt().unwrap());
         }
-
-        fn reset_counters(&mut self) {}
+        sys.reset_stats();
+        for _ in 0..n {
+            sys.access_instruction(&w.next_instruction_opt().unwrap());
+        }
     }
 
     #[test]
-    fn family_liveness_matches_scalar_cache() {
+    fn family_lifetime_counters_match_per_access_l2s() {
+        // Draws and liveness come from each member's own `Cache`, so a
+        // family's lifetime totals are the sum of the per-access
+        // hierarchies' L2 counters — the DM fast path included.
         if !tlc_obs::ENABLED {
             return;
         }
         let stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
-            let cfgs = [l2_policy_cfg(4096, 4, repl), l2_policy_cfg(16384, 4, repl)];
-            let mut fam = ConventionalFamily::<4>::new(&cfgs, 4);
-            walk_events(&mut fam, &stream);
-            for (cfg, st) in cfgs.iter().zip(&fam.states) {
-                let mut scalar = ScalarConvSink { l2: Cache::new(*cfg) };
-                walk_events(&mut scalar, &stream);
-                let got = st.liveness();
-                assert_eq!(got, scalar.l2.liveness(), "{repl} {cfg}");
-                assert_eq!(got.fills, got.dead_on_arrival + got.live_fills, "{repl} {cfg}");
-                assert!(got.multi_hit <= got.live_fills, "{repl} {cfg}");
+            for ways in [1u32, 4] {
+                let cfgs = [l2_policy_cfg(16384, ways, repl), l2_policy_cfg(4096, ways, repl)];
+                for exclusive in [false, true] {
+                    let mut fam = if exclusive {
+                        L2Family::exclusive(&cfgs, &stream)
+                    } else {
+                        L2Family::conventional(&cfgs, &stream)
+                    };
+                    fam.replay(&stream);
+                    let (draws, _, live) = fam.back.lifetime().unwrap();
+                    let (mut want_draws, mut want_live) = (0, Liveness::default());
+                    for cfg in &cfgs {
+                        let (d, l) = if exclusive {
+                            let mut sys = ExclusiveTwoLevel::new(l1_cfg(1024), *cfg);
+                            drive(&mut sys, SpecBenchmark::Gcc1, 2_000, 8_000);
+                            (sys.l2().lfsr_draws(), sys.l2().liveness())
+                        } else {
+                            let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), *cfg);
+                            drive(&mut sys, SpecBenchmark::Gcc1, 2_000, 8_000);
+                            (sys.l2().lfsr_draws(), sys.l2().liveness())
+                        };
+                        want_draws += d;
+                        want_live.merge(l);
+                    }
+                    let what = format!("{repl} {ways}-way exclusive={exclusive}");
+                    assert_eq!((draws, live), (want_draws, want_live), "{what}");
+                    assert_eq!(live.fills, live.dead_on_arrival + live.live_fills, "{what}");
+                    assert!(live.multi_hit <= live.live_fills, "{what}");
+                }
             }
         }
     }
 
     #[test]
-    fn dm_family_liveness_matches_scalar_caches() {
-        if !tlc_obs::ENABLED {
-            return;
+    fn lines_at_the_top_of_the_address_space_do_not_alias() {
+        // With 4-byte lines, 2^63 + 0x10 and 0x10 are lines 2^61 + 4 and
+        // 4: distinct, and same-set in both levels. The packed way word
+        // keeps them apart in every engine.
+        let line = 4;
+        let l1 = CacheConfig::new(64, line, Associativity::Direct, ReplacementKind::Lru).unwrap();
+        let refs = [
+            MemRef::store(Addr::new((1 << 63) + 0x10)),
+            MemRef::load(Addr::new(0x10)),
+            MemRef::load(Addr::new(u64::MAX)),
+            MemRef::store(Addr::new(1 << 63)),
+            MemRef::fetch(Addr::new(u64::MAX - 3)),
+            MemRef::load(Addr::new((1 << 63) + 0x10)),
+            MemRef::load(Addr::new(0x10)),
+            MemRef::load(Addr::new(0)),
+            MemRef::load(Addr::new(u64::MAX)),
+            MemRef::fetch(Addr::new(0x3c)),
+            MemRef::load(Addr::new(1 << 63)),
+        ];
+        for ways in [1u32, 4] {
+            let repl = ReplacementKind::PseudoRandom;
+            let assoc =
+                if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
+            let l2 = CacheConfig::new(256, line, assoc, repl).unwrap();
+            let mut fe = L1FrontEnd::new(l1);
+            let mut conv = ConventionalTwoLevel::new(l1, l2);
+            let mut excl = ExclusiveTwoLevel::new(l1, l2);
+            let mut naive_conv = NaiveSystem::conventional(64, line, 256, ways, repl);
+            let mut naive_excl = NaiveSystem::exclusive(64, line, 256, ways, repl);
+            for r in refs {
+                fe.access(r);
+                conv.access(r);
+                excl.access(r);
+                naive_conv.access(r);
+                naive_excl.access(r);
+            }
+            let stream = fe.finish("top");
+            assert_eq!(conv.stats(), naive_conv.stats(), "{ways}-way conventional");
+            assert_eq!(conventional(&[l2], &stream)[0], *naive_conv.stats(), "{ways}-way");
+            assert_eq!(excl.stats(), naive_excl.stats(), "{ways}-way exclusive");
+            assert_eq!(exclusive(&[l2], &stream)[0], *naive_excl.stats(), "{ways}-way");
+            // The aliasing pair alone: two cold misses, no false hit.
+            let mut fe = L1FrontEnd::new(l1);
+            fe.access(refs[0]);
+            fe.access(refs[1]);
+            let pair = conventional(&[l2], &fe.finish("pair"))[0];
+            assert_eq!((pair.l2_hits, pair.l2_misses), (0, 2), "{ways}-way");
         }
-        let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
-        let cfgs = [l2_cfg(8192, 1), l2_cfg(2048, 1)];
-        let mut fam = DmConventionalFamily::new(&cfgs);
-        walk_events(&mut fam, &stream);
-        let mut expected = Liveness::default();
-        for cfg in &cfgs {
-            let mut scalar = ScalarConvSink { l2: Cache::new(*cfg) };
-            walk_events(&mut scalar, &stream);
-            expected.merge(scalar.l2.liveness());
-        }
-        assert_eq!(fam.liveness_total(), expected);
     }
 }

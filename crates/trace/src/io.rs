@@ -464,13 +464,17 @@ pub fn write_event_trace<W: Write>(mut out: W, events: &crate::EventArena) -> io
     out.flush()
 }
 
+/// Event line numbers are byte addresses over lines of at least 4 bytes
+/// (the shortest line a cache accepts), so every real one is below 2^62.
+const MAX_EVENT_LINE: u64 = 1 << 62;
+
 /// Parses a stream produced by [`write_event_trace`].
 ///
 /// # Errors
 ///
 /// Returns a [`TraceIoError`] on a bad magic, unknown flag bits, a
-/// non-zero victim word without the victim flag, or a truncated stream,
-/// and propagates I/O errors.
+/// non-zero victim word without the victim flag, a line number of 2^62
+/// or more, or a truncated stream, and propagates I/O errors.
 pub fn read_event_trace<R: Read>(mut input: R) -> Result<crate::EventArena, TraceIoError> {
     use crate::events::{
         EVENT_HAS_VICTIM, EVENT_KIND_MASK, EVENT_KIND_STORE, EVENT_VICTIM_WRITTEN,
@@ -513,6 +517,15 @@ pub fn read_event_trace<R: Read>(mut input: R) -> Result<crate::EventArena, Trac
         }
         let line = u64::from_le_bytes(rec[1..9].try_into().expect("slice of 8"));
         let victim_word = u64::from_le_bytes(rec[9..17].try_into().expect("slice of 8"));
+        if line.max(victim_word) >= MAX_EVENT_LINE {
+            return Err(TraceIoError::Corrupt {
+                offset,
+                detail: format!(
+                    "line number {:#x} at record {i} is beyond every 64-bit address",
+                    line.max(victim_word)
+                ),
+            });
+        }
         let victim = if flags & EVENT_HAS_VICTIM != 0 {
             Some(VictimLine {
                 line: LineAddr(victim_word),
@@ -727,6 +740,12 @@ mod tests {
         let mut orphan_victim = buf.clone();
         orphan_victim[25] = 9; // non-zero victim word without the victim flag
         assert!(read_event_trace(&orphan_victim[..]).is_err());
+
+        let mut beyond = buf.clone();
+        beyond[24] = 0x40; // line 2^62: no 64-bit address has it
+        assert!(matches!(read_event_trace(&beyond[..]), Err(TraceIoError::Corrupt { .. })));
+        beyond[24] = 0x3f; // line 2^62 - 2^56 + 5: fine
+        assert!(read_event_trace(&beyond[..]).is_ok());
 
         let mut truncated = buf.clone();
         truncated.truncate(buf.len() - 4);
