@@ -27,7 +27,8 @@
 //! `is_write` only, so for them the recorded bit *is* the dirty bit.
 //!
 //! This module owns the L1 side (the capture, over the same split-L1
-//! front half the monolithic hierarchies use) and the event walk; the L2
+//! front half the monolithic hierarchies use) and the event decode each
+//! consumer hands to the shared warm-up walk [`walk_chunks`]; the L2
 //! back-ends live in [`filter_family`](crate::filter_family), where each
 //! member is a [`Cache`](crate::Cache) stepped by the monolithic
 //! hierarchy's own L2 step. Every statistic is therefore bit-identical
@@ -41,10 +42,9 @@ use crate::hierarchy::{MemorySystem, ServiceLevel};
 use crate::single::SplitL1;
 use crate::stats::HierarchyStats;
 use tlc_trace::events::{
-    EventArena, EventChunkView, EVENT_HAS_VICTIM, EVENT_KIND_FETCH, EVENT_KIND_MASK,
-    EVENT_VICTIM_WRITTEN,
+    EventArena, EVENT_HAS_VICTIM, EVENT_KIND_FETCH, EVENT_KIND_MASK, EVENT_VICTIM_WRITTEN,
 };
-use tlc_trace::{LineAddr, MemRef, MissEvent, VictimLine};
+use tlc_trace::{walk_chunks, ChunkView, LineAddr, MemRef, MissEvent, VictimLine};
 
 /// The L1 side of a decomposed hierarchy: split direct-mapped I/D caches
 /// that record one [`MissEvent`] per L1 miss into an [`EventArena`].
@@ -293,7 +293,8 @@ impl MissStream {
 }
 
 /// Anything that can consume a decoded event stream: the family
-/// back-ends in [`filter_family`](crate::filter_family).
+/// back-ends in [`filter_family`](crate::filter_family), the reuse
+/// profiler and the event-level oracles.
 pub(crate) trait EventSink {
     /// Consumes one event. `fetch` is true for instruction-fetch misses;
     /// `victim` carries the displaced line and its store-only written bit.
@@ -301,36 +302,25 @@ pub(crate) trait EventSink {
 
     /// Clears the counters at the warm-up boundary (L2 contents persist).
     fn reset_counters(&mut self);
-}
 
-/// Walks the packed event stream through `sink`, resetting its counters
-/// at the warm-up boundary exactly where the arena engine resets the
-/// monolithic hierarchy's statistics (including the mid-chunk split and
-/// the exhausted-inside-warm-up reset).
-pub(crate) fn walk_events<S: EventSink>(sink: &mut S, stream: &MissStream) {
-    let warm = stream.warmup_events;
-    let mut pos = 0u64;
-    for chunk in stream.events.chunks() {
-        let len = chunk.len() as u64;
-        if pos >= warm {
-            replay_event_chunk(sink, chunk, 0, len as usize);
-        } else if pos + len <= warm {
-            replay_event_chunk(sink, chunk, 0, len as usize);
-            if pos + len == warm {
-                sink.reset_counters();
-            }
-        } else {
-            let split = (warm - pos) as usize;
-            replay_event_chunk(sink, chunk, 0, split);
-            sink.reset_counters();
-            replay_event_chunk(sink, chunk, split, len as usize);
-        }
-        pos += len;
-    }
-    if pos <= warm {
-        // Stream exhausted inside warm-up (or boundary at the very end
-        // with no measured events): nothing was measured.
-        sink.reset_counters();
+    /// Walks all of `stream` through this sink with the shared
+    /// [`walk_chunks`], resetting the counters at the stream's warm-up
+    /// boundary exactly where the arena engine resets the monolithic
+    /// hierarchy's statistics.
+    fn consume_stream(&mut self, stream: &MissStream)
+    where
+        Self: Sized,
+    {
+        let chunks = stream.events.chunks();
+        walk_chunks(
+            self,
+            chunks,
+            stream.warmup_events,
+            u64::MAX,
+            replay_event_chunk,
+            Self::reset_counters,
+            |_| true,
+        );
     }
 }
 
@@ -362,15 +352,8 @@ pub(crate) fn flush_l2_counters(
 /// The replay inner loop: slice iteration over one chunk's packed
 /// columns, statically dispatched per concrete back-end.
 #[inline]
-fn replay_event_chunk<B: EventSink>(
-    back: &mut B,
-    chunk: EventChunkView<'_>,
-    start: usize,
-    end: usize,
-) {
-    let lines = &chunk.line[start..end];
-    let victims = &chunk.victim[start..end];
-    let flags = &chunk.flags[start..end];
+fn replay_event_chunk<B: EventSink>(back: &mut B, chunk: ChunkView<'_>, start: usize, end: usize) {
+    let (lines, victims, flags) = chunk.columns(start, end);
     for i in 0..lines.len() {
         let f = flags[i];
         let victim = (f & EVENT_HAS_VICTIM != 0)

@@ -52,7 +52,7 @@
 use crate::cache::{Cache, Evicted, Liveness};
 use crate::config::CacheConfig;
 use crate::exclusive::{exclusive_l2_step, ExclusiveOutcome};
-use crate::filter::{flush_l2_counters, walk_events, EventSink, MissStream};
+use crate::filter::{flush_l2_counters, EventSink, MissStream};
 use crate::stats::HierarchyStats;
 use crate::twolevel::conventional_l2_step;
 use tlc_trace::LineAddr;
@@ -318,7 +318,7 @@ trait Family: EventSink + std::fmt::Debug {
 
 impl Family for SingleBack {
     fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
-        walk_events(self, segment);
+        self.consume_stream(segment);
         vec![(0, self.misses, self.writebacks)]
     }
 
@@ -329,7 +329,7 @@ impl Family for SingleBack {
 
 impl Family for DmConventionalFamily {
     fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
-        walk_events(self, segment);
+        self.consume_stream(segment);
         self.counters()
     }
 
@@ -345,7 +345,7 @@ impl Family for DmConventionalFamily {
 
 impl Family for ConventionalFamily {
     fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
-        walk_events(self, segment);
+        self.consume_stream(segment);
         self.members.iter().map(Member::counters).collect()
     }
 
@@ -356,7 +356,7 @@ impl Family for ConventionalFamily {
 
 impl Family for ExclusiveFamily {
     fn walk(&mut self, segment: &MissStream) -> Vec<(u64, u64, u64)> {
-        walk_events(self, segment);
+        self.consume_stream(segment);
         self.members.iter().map(Member::counters).collect()
     }
 

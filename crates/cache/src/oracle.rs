@@ -28,7 +28,7 @@
 //!   ([`StackDistanceProfiler`](crate::StackDistanceProfiler)).
 
 use crate::config::ReplacementKind;
-use crate::filter::{walk_events, EventSink, MissStream};
+use crate::filter::{EventSink, MissStream};
 use crate::hierarchy::{MemorySystem, ServiceLevel};
 use crate::replacement::{Lfsr16, ReplState};
 use crate::stats::HierarchyStats;
@@ -194,17 +194,27 @@ pub struct NaiveSystem {
 }
 
 impl NaiveSystem {
-    /// A single-level system: split direct-mapped L1s, no L2.
-    pub fn single(l1_size_bytes: u64, line_bytes: u64) -> Self {
+    fn new(
+        policy: NaivePolicy,
+        l1_size_bytes: u64,
+        line_bytes: u64,
+        l2: Option<NaiveCache>,
+    ) -> Self {
+        let l1 = || NaiveCache::new(l1_size_bytes, line_bytes, 1, ReplacementKind::PseudoRandom);
         NaiveSystem {
-            l1i: NaiveCache::new(l1_size_bytes, line_bytes, 1, ReplacementKind::PseudoRandom),
-            l1d: NaiveCache::new(l1_size_bytes, line_bytes, 1, ReplacementKind::PseudoRandom),
-            l2: None,
-            policy: NaivePolicy::Single,
+            l1i: l1(),
+            l1d: l1(),
+            l2,
+            policy,
             line_bytes,
             stats: HierarchyStats::default(),
             last_fetch: u64::MAX,
         }
+    }
+
+    /// A single-level system: split direct-mapped L1s, no L2.
+    pub fn single(l1_size_bytes: u64, line_bytes: u64) -> Self {
+        Self::new(NaivePolicy::Single, l1_size_bytes, line_bytes, None)
     }
 
     /// A conventional two-level system with the given L2 replacement
@@ -216,15 +226,8 @@ impl NaiveSystem {
         ways: u32,
         repl: ReplacementKind,
     ) -> Self {
-        NaiveSystem {
-            l1i: NaiveCache::new(l1_size_bytes, line_bytes, 1, ReplacementKind::PseudoRandom),
-            l1d: NaiveCache::new(l1_size_bytes, line_bytes, 1, ReplacementKind::PseudoRandom),
-            l2: Some(NaiveCache::new(l2_size_bytes, line_bytes, ways, repl)),
-            policy: NaivePolicy::Conventional,
-            line_bytes,
-            stats: HierarchyStats::default(),
-            last_fetch: u64::MAX,
-        }
+        let l2 = NaiveCache::new(l2_size_bytes, line_bytes, ways, repl);
+        Self::new(NaivePolicy::Conventional, l1_size_bytes, line_bytes, Some(l2))
     }
 
     /// An exclusive (victim-swap) two-level system with the given L2
@@ -236,15 +239,8 @@ impl NaiveSystem {
         ways: u32,
         repl: ReplacementKind,
     ) -> Self {
-        NaiveSystem {
-            l1i: NaiveCache::new(l1_size_bytes, line_bytes, 1, ReplacementKind::PseudoRandom),
-            l1d: NaiveCache::new(l1_size_bytes, line_bytes, 1, ReplacementKind::PseudoRandom),
-            l2: Some(NaiveCache::new(l2_size_bytes, line_bytes, ways, repl)),
-            policy: NaivePolicy::Exclusive,
-            line_bytes,
-            stats: HierarchyStats::default(),
-            last_fetch: u64::MAX,
-        }
+        let l2 = NaiveCache::new(l2_size_bytes, line_bytes, ways, repl);
+        Self::new(NaivePolicy::Exclusive, l1_size_bytes, line_bytes, Some(l2))
     }
 
     /// Resident lines of each level, sorted: `(l1i, l1d, l2)`, with an
@@ -393,38 +389,46 @@ impl MemorySystem for NaiveSystem {
     }
 }
 
+/// The measured-window L2 counters of an event-level oracle.
+#[derive(Default)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
+}
+
+impl Tally {
+    /// The hierarchy statistics: these counters over the stream's L1 side.
+    fn stats(&self, stream: &MissStream) -> HierarchyStats {
+        HierarchyStats {
+            l2_hits: self.hits,
+            l2_misses: self.misses,
+            offchip_writebacks: self.writebacks,
+            ..*stream.l1_stats()
+        }
+    }
+}
+
 /// Event-level single-level oracle: every L1 miss goes off-chip; every
 /// written victim is an off-chip writeback. Must match
 /// [`L2Family::single`](crate::filter_family::L2Family::single)
 /// bit-for-bit.
 pub fn naive_replay_single(stream: &MissStream) -> HierarchyStats {
-    #[derive(Default)]
-    struct Sink {
-        l2_misses: u64,
-        writebacks: u64,
-    }
+    struct Sink(Tally);
     impl EventSink for Sink {
         fn consume(&mut self, _fetch: bool, _line: LineAddr, victim: Option<(LineAddr, bool)>) {
-            self.l2_misses += 1;
-            if let Some((_, written)) = victim {
-                if written {
-                    self.writebacks += 1;
-                }
+            self.0.misses += 1;
+            if let Some((_, true)) = victim {
+                self.0.writebacks += 1;
             }
         }
         fn reset_counters(&mut self) {
-            self.l2_misses = 0;
-            self.writebacks = 0;
+            self.0 = Tally::default();
         }
     }
-    let mut s = Sink::default();
-    walk_events(&mut s, stream);
-    HierarchyStats {
-        l2_hits: 0,
-        l2_misses: s.l2_misses,
-        offchip_writebacks: s.writebacks,
-        ..*stream.l1_stats()
-    }
+    let mut s = Sink(Tally::default());
+    s.consume_stream(stream);
+    s.0.stats(stream)
 }
 
 /// Event-level conventional-L2 oracle on the naive cache. Must match
@@ -440,47 +444,32 @@ pub fn naive_replay_conventional(
 ) -> HierarchyStats {
     struct Sink {
         l2: NaiveCache,
-        hits: u64,
-        misses: u64,
-        writebacks: u64,
+        tally: Tally,
     }
     impl EventSink for Sink {
         fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
             if self.l2.access(line.0, false) {
-                self.hits += 1;
+                self.tally.hits += 1;
             } else {
-                self.misses += 1;
-                if let Some((_, old_dirty)) = self.l2.fill_after_miss(line.0, false) {
-                    if old_dirty {
-                        self.writebacks += 1;
-                    }
+                self.tally.misses += 1;
+                if let Some((_, true)) = self.l2.fill_after_miss(line.0, false) {
+                    self.tally.writebacks += 1;
                 }
             }
             if let Some((vline, written)) = victim {
                 if written && !self.l2.merge_if_present(vline.0, true) {
-                    self.writebacks += 1;
+                    self.tally.writebacks += 1;
                 }
             }
         }
         fn reset_counters(&mut self) {
-            self.hits = 0;
-            self.misses = 0;
-            self.writebacks = 0;
+            self.tally = Tally::default();
         }
     }
-    let mut s = Sink {
-        l2: NaiveCache::new(l2_size_bytes, stream.line_bytes(), l2_ways, l2_repl),
-        hits: 0,
-        misses: 0,
-        writebacks: 0,
-    };
-    walk_events(&mut s, stream);
-    HierarchyStats {
-        l2_hits: s.hits,
-        l2_misses: s.misses,
-        offchip_writebacks: s.writebacks,
-        ..*stream.l1_stats()
-    }
+    let l2 = NaiveCache::new(l2_size_bytes, stream.line_bytes(), l2_ways, l2_repl);
+    let mut s = Sink { l2, tally: Tally::default() };
+    s.consume_stream(stream);
+    s.tally.stats(stream)
 }
 
 /// Event-level exclusive-L2 oracle on the naive cache, carrying the
@@ -499,19 +488,15 @@ pub fn naive_replay_exclusive(
         mirror_i: Vec<bool>,
         mirror_d: Vec<bool>,
         l1_set_mask: u64,
-        hits: u64,
-        misses: u64,
-        writebacks: u64,
+        tally: Tally,
     }
     impl Sink {
         fn send_victim(&mut self, vline: u64, vdirty: bool) {
             if self.l2.merge_if_present(vline, vdirty) {
                 return;
             }
-            if let Some((_, old_dirty)) = self.l2.fill_after_miss(vline, vdirty) {
-                if old_dirty {
-                    self.writebacks += 1;
-                }
+            if let Some((_, true)) = self.l2.fill_after_miss(vline, vdirty) {
+                self.tally.writebacks += 1;
             }
         }
     }
@@ -523,7 +508,7 @@ pub fn naive_replay_exclusive(
             // before the new fill overwrites the mirror entry.
             let victim = victim.map(|(vline, written)| (vline.0, written || mirror[set]));
             if self.l2.access(line.0, false) {
-                self.hits += 1;
+                self.tally.hits += 1;
                 let (l2_dirty, slot_way) =
                     self.l2.extract(line.0).expect("L2 hit implies the line is extractable");
                 mirror[set] = l2_dirty;
@@ -542,7 +527,7 @@ pub fn naive_replay_exclusive(
                     }
                 }
             } else {
-                self.misses += 1;
+                self.tally.misses += 1;
                 mirror[set] = false;
                 if let Some((vline, vdirty)) = victim {
                     self.send_victim(vline, vdirty);
@@ -550,9 +535,7 @@ pub fn naive_replay_exclusive(
             }
         }
         fn reset_counters(&mut self) {
-            self.hits = 0;
-            self.misses = 0;
-            self.writebacks = 0;
+            self.tally = Tally::default();
         }
     }
     let sets = (stream.l1_size_bytes() / stream.line_bytes()) as usize;
@@ -561,17 +544,10 @@ pub fn naive_replay_exclusive(
         mirror_i: vec![false; sets],
         mirror_d: vec![false; sets],
         l1_set_mask: sets as u64 - 1,
-        hits: 0,
-        misses: 0,
-        writebacks: 0,
+        tally: Tally::default(),
     };
-    walk_events(&mut s, stream);
-    HierarchyStats {
-        l2_hits: s.hits,
-        l2_misses: s.misses,
-        offchip_writebacks: s.writebacks,
-        ..*stream.l1_stats()
-    }
+    s.consume_stream(stream);
+    s.tally.stats(stream)
 }
 
 /// Misses of a fully-associative LRU cache of `capacity_lines` lines on

@@ -52,7 +52,7 @@
 //! suite and the audit's `predict-vs-family` check enforce.
 
 use crate::config::CacheConfig;
-use crate::filter::{walk_events, EventSink, MissStream};
+use crate::filter::{EventSink, MissStream};
 use crate::mattson::{Fenwick, NestedDmProfiler};
 use crate::stats::HierarchyStats;
 use std::collections::HashMap;
@@ -264,7 +264,7 @@ impl ReuseProfile {
         tlc_obs::obs_count!(tlc_obs::Counter::PredictGroupsProfiled, 1);
         tlc_obs::obs_count!(tlc_obs::Counter::PredictEventsProfiled, stream.len());
         let mut p = ReuseProfiler::new(dm_set_counts);
-        walk_events(&mut p, stream);
+        p.consume_stream(stream);
         p.flush_resident_dirty();
         let dm_counters = p.dm.as_ref().map(|dm| dm.counters()).unwrap_or_default();
         ReuseProfile {

@@ -12,7 +12,7 @@ use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
     default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads,
     try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_threads,
-    ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
+    ARENA_BYTES_LIMIT,
 };
 use tlc_core::sampling::{
     capture_phase_slices, sample_source, PhaseSample, PhaseSlice, SampleOptions,
@@ -25,6 +25,7 @@ use tlc_timing::{DetailedTimingModel, EnergyModel, TimingModel};
 use tlc_trace::compact::import_to_compact;
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::specfile::WorkloadSpec;
+use tlc_trace::store::BYTES_PER_RECORD;
 use tlc_trace::{ImportFormat, InstructionSource, TraceArena, TraceReader, TraceStats};
 
 /// Top-level usage text.
@@ -286,7 +287,8 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     // One observability epoch per sweep: counters and spans drained by
     // this run's manifest must not include a previous run's.
     tlc_obs::reset();
-    let ticker = args.flag("progress").then(|| ProgressTicker::start(configs.len()));
+    let total = configs.len();
+    let ticker = args.flag("progress").then(|| Ticker::start(move |t| sweep_progress(total, t)));
     let start = std::time::Instant::now();
     // Trace decode problems surface *during* capture (the reader parks
     // them); collected here and reported after the ticker is stopped.
@@ -351,7 +353,7 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                 // Full-trace sweep: capture the whole stream (or --instr
                 // worth) into an arena, then fan out like any other sweep.
                 let cap = if budget.instructions == u64::MAX {
-                    (ARENA_BYTES_LIMIT / ARENA_BYTES_PER_RECORD) as u64
+                    (ARENA_BYTES_LIMIT / BYTES_PER_RECORD) as u64
                 } else {
                     budget.warmup_instructions.saturating_add(budget.instructions)
                 };
@@ -496,17 +498,17 @@ fn config_space_hash(configs: &[MachineConfig]) -> String {
     format!("{:016x}", fnv1a64(json.as_bytes()))
 }
 
-/// The `--progress` stderr ticker: a sampling thread reading the global
-/// counters every 200 ms, reporting configs done, elapsed/ETA, and
-/// event throughput. In uninstrumented builds the counters never move,
-/// so it prints one notice and exits instead of ticking zeros.
-struct ProgressTicker {
+/// The `--progress` stderr ticker: a sampling thread that calls `line`
+/// with the elapsed seconds every 200 ms and prints what it returns. In
+/// uninstrumented builds the counters never move, so it prints one
+/// notice and exits instead of ticking zeros.
+struct Ticker {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     handle: std::thread::JoinHandle<()>,
 }
 
-impl ProgressTicker {
-    fn start(total: usize) -> ProgressTicker {
+impl Ticker {
+    fn start(mut line: impl FnMut(f64) -> String + Send + 'static) -> Ticker {
         use std::sync::atomic::Ordering;
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let seen = stop.clone();
@@ -521,43 +523,10 @@ impl ProgressTicker {
                 if seen.load(Ordering::Relaxed) {
                     break;
                 }
-                let done = tlc_obs::counters().get(Counter::RunnerConfigsCompleted);
-                let predicted = tlc_obs::counters().get(Counter::PredictConfigsPredicted);
-                let events = tlc_obs::counters().get(Counter::FilterEventsDecoded)
-                    + tlc_obs::counters().get(Counter::L2EventsReplayed);
-                let elapsed = start.elapsed().as_secs_f64();
-                // Analytically-predicted configs complete near-instantly;
-                // pacing the ETA on them would promise the replayed
-                // remainder far too soon. Extrapolate from replay-paced
-                // completions only (with no predictions this is `done`).
-                let pace_basis = done.saturating_sub(predicted);
-                let eta = if pace_basis > 0 {
-                    format!(
-                        "{:.1}s",
-                        elapsed * (total.saturating_sub(done as usize)) as f64 / pace_basis as f64
-                    )
-                } else {
-                    "?".to_string()
-                };
-                let split = if predicted > 0 {
-                    format!(" ({predicted} predicted, {pace_basis} replayed)")
-                } else {
-                    String::new()
-                };
-                // The per-configuration engines feed neither filter nor
-                // replay counters; leave throughput off rather than
-                // reporting a misleading zero.
-                let rate = if events > 0 {
-                    format!(", {:.1} M events/s", events as f64 / elapsed / 1e6)
-                } else {
-                    String::new()
-                };
-                eprintln!(
-                    "# sweep progress: {done}/{total} configs{split}, {elapsed:.1}s elapsed, eta {eta}{rate}"
-                );
+                eprintln!("{}", line(start.elapsed().as_secs_f64()));
             }
         });
-        ProgressTicker { stop, handle }
+        Ticker { stop, handle }
     }
 
     fn stop(self) {
@@ -566,46 +535,53 @@ impl ProgressTicker {
     }
 }
 
-/// The `tlc audit --progress` ticker: like [`ProgressTicker`] but paced
-/// against the audit's own counters — cases/s, elapsed against the
+/// The `tlc sweep --progress` line: configs done, elapsed/ETA, and event
+/// throughput.
+fn sweep_progress(total: usize, elapsed: f64) -> String {
+    let done = tlc_obs::counters().get(Counter::RunnerConfigsCompleted);
+    let predicted = tlc_obs::counters().get(Counter::PredictConfigsPredicted);
+    let events = tlc_obs::counters().get(Counter::FilterEventsDecoded)
+        + tlc_obs::counters().get(Counter::L2EventsReplayed);
+    // Analytically-predicted configs complete near-instantly; pacing the
+    // ETA on them would promise the replayed remainder far too soon.
+    // Extrapolate from replay-paced completions only (with no
+    // predictions this is `done`).
+    let pace_basis = done.saturating_sub(predicted);
+    let eta = if pace_basis > 0 {
+        format!(
+            "{:.1}s",
+            elapsed * (total.saturating_sub(done as usize)) as f64 / pace_basis as f64
+        )
+    } else {
+        "?".to_string()
+    };
+    let split = if predicted > 0 {
+        format!(" ({predicted} predicted, {pace_basis} replayed)")
+    } else {
+        String::new()
+    };
+    // The per-configuration engines feed neither filter nor replay
+    // counters; leave throughput off rather than reporting a misleading
+    // zero.
+    let rate = if events > 0 {
+        format!(", {:.1} M events/s", events as f64 / elapsed / 1e6)
+    } else {
+        String::new()
+    };
+    format!(
+        "# sweep progress: {done}/{total} configs{split}, {elapsed:.1}s elapsed, eta {eta}{rate}"
+    )
+}
+
+/// The `tlc audit --progress` line: cases/s, elapsed against the
 /// `--seconds` budget, and divergences found so far.
-struct AuditTicker {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl AuditTicker {
-    fn start(budget_s: f64) -> AuditTicker {
-        use std::sync::atomic::Ordering;
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let seen = stop.clone();
-        let handle = std::thread::spawn(move || {
-            if !tlc_obs::ENABLED {
-                eprintln!("# progress: this build has instrumentation disabled; no live counters");
-                return;
-            }
-            let start = std::time::Instant::now();
-            while !seen.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                if seen.load(Ordering::Relaxed) {
-                    break;
-                }
-                let cases = tlc_obs::counters().get(Counter::AuditCases);
-                let divergences = tlc_obs::counters().get(Counter::AuditDivergences);
-                let elapsed = start.elapsed().as_secs_f64();
-                eprintln!(
-                    "# audit progress: {cases} cases ({:.0}/s), {elapsed:.1}s of {budget_s:.1}s budget, {divergences} divergence(s)",
-                    cases as f64 / elapsed.max(1e-9)
-                );
-            }
-        });
-        AuditTicker { stop, handle }
-    }
-
-    fn stop(self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = self.handle.join();
-    }
+fn audit_progress(budget_s: f64, elapsed: f64) -> String {
+    let cases = tlc_obs::counters().get(Counter::AuditCases);
+    let divergences = tlc_obs::counters().get(Counter::AuditDivergences);
+    format!(
+        "# audit progress: {cases} cases ({:.0}/s), {elapsed:.1}s of {budget_s:.1}s budget, {divergences} divergence(s)",
+        cases as f64 / elapsed.max(1e-9)
+    )
 }
 
 /// `tlc profile`.
@@ -791,7 +767,8 @@ pub fn cmd_audit(args: &ArgMap) -> Result<String, ArgError> {
     // The ticker paces against the `audit.cases`/`audit.divergences`
     // counters, so start them from zero for this run.
     tlc_obs::reset();
-    let ticker = args.flag("progress").then(|| AuditTicker::start(opts.seconds));
+    let budget_s = opts.seconds;
+    let ticker = args.flag("progress").then(|| Ticker::start(move |t| audit_progress(budget_s, t)));
     let report = run_audit(&opts);
     if let Some(t) = ticker {
         t.stop();
@@ -1206,6 +1183,14 @@ mod tests {
         dispatch(args.iter().map(|s| s.to_string()).collect())
     }
 
+    /// A small sweep of li, the base of the engine and manifest tests.
+    const LI_SWEEP: &str = "sweep --workload li --instr 4000 --warmup 1000 --csv";
+
+    /// [`run`] on a space-separated command line.
+    fn run_line(line: &str) -> Result<String, ArgError> {
+        run(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
     #[test]
     fn help_and_list() {
         assert!(run(&["help"]).expect("help").contains("usage"));
@@ -1281,15 +1266,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tlc-audit-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let json = dir.join("audit.json");
-        let out = run(&[
-            "audit",
-            "--cases",
-            "6",
-            "--seed",
-            "11",
-            "--json",
-            json.to_str().expect("utf-8 path"),
-        ])
+        let out = run_line(&format!(
+            "audit --cases 6 --seed 11 --json {}",
+            json.to_str().expect("utf-8 path")
+        ))
         .expect("audit");
         assert!(out.contains("clean"));
         assert!(out.contains("arena/family/predict/sampled"));
@@ -1310,21 +1290,10 @@ mod tests {
 
     #[test]
     fn evaluate_runs() {
-        let out = run(&[
-            "evaluate",
-            "--workload",
-            "espresso",
-            "--l1",
-            "4",
-            "--l2",
-            "32",
-            "--policy",
-            "exclusive",
-            "--instr",
-            "20000",
-            "--warmup",
-            "5000",
-        ])
+        let out = run_line(
+            "evaluate --workload espresso --l1 4 --l2 32 --policy exclusive --instr 20000 \
+             --warmup 5000",
+        )
         .expect("evaluate");
         assert!(out.contains("TPI"));
         assert!(out.contains("exclusive"));
@@ -1332,37 +1301,16 @@ mod tests {
 
     #[test]
     fn evaluate_accepts_l2_repl() {
-        let out = run(&[
-            "evaluate",
-            "--workload",
-            "espresso",
-            "--l1",
-            "4",
-            "--l2",
-            "32",
-            "--l2-repl",
-            "srrip",
-            "--instr",
-            "20000",
-        ])
-        .expect("evaluate with srrip L2");
+        let out =
+            run_line("evaluate --workload espresso --l1 4 --l2 32 --l2-repl srrip --instr 20000")
+                .expect("evaluate with srrip L2");
         assert!(out.contains("TPI"));
     }
 
     #[test]
     fn unknown_l2_repl_is_a_typed_error() {
-        let e = run(&[
-            "evaluate",
-            "--workload",
-            "espresso",
-            "--l1",
-            "4",
-            "--l2",
-            "32",
-            "--l2-repl",
-            "clairvoyant",
-        ])
-        .unwrap_err();
+        let e = run_line("evaluate --workload espresso --l1 4 --l2 32 --l2-repl clairvoyant")
+            .unwrap_err();
         assert!(e.to_string().contains("clairvoyant"));
         assert!(e.to_string().contains("srrip"));
     }
@@ -1402,18 +1350,10 @@ mod tests {
         }"#;
         let path = std::env::temp_dir().join("tlc_cli_test_spec.json");
         std::fs::write(&path, spec).expect("write spec");
-        let out = run(&[
-            "workload",
-            path.to_str().expect("utf8 path"),
-            "--l1",
-            "4",
-            "--l2",
-            "32",
-            "--instr",
-            "20000",
-            "--warmup",
-            "4000",
-        ])
+        let out = run_line(&format!(
+            "workload {} --l1 4 --l2 32 --instr 20000 --warmup 4000",
+            path.to_str().expect("utf8 path")
+        ))
         .expect("workload");
         assert!(out.contains("tiny"));
         assert!(out.contains("TPI"));
@@ -1438,39 +1378,18 @@ mod tests {
 
     #[test]
     fn sweep_csv_mode() {
-        let out = run(&[
-            "sweep",
-            "--workload",
-            "eqntott",
-            "--instr",
-            "5000",
-            "--warmup",
-            "1000",
-            "--csv",
-        ])
-        .expect("sweep");
+        let out =
+            run_line("sweep --workload eqntott --instr 5000 --warmup 1000 --csv").expect("sweep");
         assert!(out.starts_with("workload,label"));
         assert!(out.lines().count() > 40);
     }
 
     #[test]
     fn sweep_engines_agree_and_bad_engine_is_rejected() {
-        let base = [
-            "sweep",
-            "--workload",
-            "li",
-            "--instr",
-            "4000",
-            "--warmup",
-            "1000",
-            "--csv",
-            "--engine",
-        ];
+        let sweep = |engine: &str| run_line(&format!("{LI_SWEEP} --engine {engine}"));
         let mut outputs = Vec::new();
         for engine in ["auto", "arena", "family"] {
-            let mut argv: Vec<&str> = base.to_vec();
-            argv.push(engine);
-            outputs.push(run(&argv).unwrap_or_else(|e| panic!("engine {engine}: {e:?}")));
+            outputs.push(sweep(engine).unwrap_or_else(|e| panic!("engine {engine}: {e:?}")));
         }
         for o in &outputs[1..] {
             assert_eq!(&outputs[0], o, "engines must produce identical sweeps");
@@ -1478,9 +1397,7 @@ mod tests {
         // The retired `filtered` and `streaming` engine names are
         // rejected like any other.
         for bad in ["warp", "filtered", "streaming"] {
-            let mut argv: Vec<&str> = base.to_vec();
-            argv.push(bad);
-            let err = run(&argv).expect_err("unknown engine must be rejected");
+            let err = sweep(bad).expect_err("unknown engine must be rejected");
             assert!(format!("{err:?}").contains("unknown engine"), "{bad}");
         }
     }
@@ -1493,18 +1410,10 @@ mod tests {
         // account every config as predicted or replayed.
         let path = std::env::temp_dir().join("tlc_cli_test_predict_manifest.json");
         let _ = std::fs::remove_file(&path);
-        let base = ["sweep", "--workload", "li", "--instr", "4000", "--warmup", "1000", "--csv"];
-        let mut family_argv: Vec<&str> = base.to_vec();
-        family_argv.extend(["--engine", "family"]);
-        let family = run(&family_argv).expect("family sweep");
-        let mut predict_argv: Vec<&str> = base.to_vec();
-        predict_argv.extend([
-            "--engine",
-            "predict",
-            "--metrics",
-            path.to_str().expect("utf8 path"),
-        ]);
-        let predict = run(&predict_argv).expect("predict sweep");
+        let family = run_line(&format!("{LI_SWEEP} --engine family")).expect("family sweep");
+        let predict =
+            run_line(&format!("{LI_SWEEP} --engine predict --metrics {}", path.display()))
+                .expect("predict sweep");
         let keys = |csv: &str| -> Vec<String> {
             csv.lines().map(|l| l.split(',').take(2).collect::<Vec<_>>().join(",")).collect()
         };
@@ -1529,23 +1438,8 @@ mod tests {
     fn sweep_metrics_writes_valid_manifest() {
         let path = std::env::temp_dir().join("tlc_cli_test_manifest.json");
         let _ = std::fs::remove_file(&path);
-        run(&[
-            "sweep",
-            "--workload",
-            "li",
-            "--instr",
-            "4000",
-            "--warmup",
-            "1000",
-            "--csv",
-            "--engine",
-            "family",
-            "--threads",
-            "2",
-            "--metrics",
-            path.to_str().expect("utf8 path"),
-        ])
-        .expect("sweep with --metrics");
+        run_line(&format!("{LI_SWEEP} --engine family --threads 2 --metrics {}", path.display()))
+            .expect("sweep with --metrics");
         let json = std::fs::read_to_string(&path).expect("manifest written");
         let manifest = RunManifest::from_json(&json).expect("manifest parses");
         manifest.validate().expect("manifest invariants hold");
@@ -1596,19 +1490,11 @@ mod tests {
         let info = run(&["trace", "info", trc_s, "--interval", "2000"]).expect("info");
         assert!(info.contains("TLCTRC01"));
         assert!(info.contains("footprint"));
-        let sample_out = run(&[
-            "trace",
-            "sample",
+        let sample_out = run_line(&format!(
+            "trace sample {} --interval 1000000 --k 3 --seed 0xC1 --out {}",
             trc_s,
-            "--interval",
-            "1000000",
-            "--k",
-            "3",
-            "--seed",
-            "0xC1",
-            "--out",
-            phases.to_str().expect("utf8"),
-        ])
+            phases.to_str().expect("utf8")
+        ))
         .expect("sample");
         assert!(sample_out.contains("1 phases") || sample_out.contains("-> 1 phases"));
         let doc = PhaseSample::from_json(&std::fs::read_to_string(&phases).expect("json"))
@@ -1618,16 +1504,12 @@ mod tests {
         let full = run(&["sweep", "--trace", trc_s, "--csv"]).expect("full trace sweep");
         assert!(full.starts_with("workload,label"));
         assert!(full.contains("trace"), "workload column carries the trace name");
-        let sampled = run(&[
-            "sweep",
-            "--trace",
+        let sampled = run_line(&format!(
+            "sweep --trace {} --sample {} --csv --metrics {}",
             trc_s,
-            "--sample",
             phases.to_str().expect("utf8"),
-            "--csv",
-            "--metrics",
-            manifest_path.to_str().expect("utf8"),
-        ])
+            manifest_path.to_str().expect("utf8")
+        ))
         .expect("sampled sweep");
         assert_eq!(full, sampled, "single-phase full-weight sampling is exact");
         let manifest =
@@ -1665,21 +1547,15 @@ mod tests {
 
     #[test]
     fn sweep_thread_count_is_parsed_and_validated() {
-        let base = ["sweep", "--workload", "li", "--instr", "4000", "--warmup", "1000", "--csv"];
+        let sweep = |threads: &str| run_line(&format!("{LI_SWEEP} --threads {threads}"));
         let mut outputs = Vec::new();
         for threads in ["1", "2"] {
-            let mut argv: Vec<&str> = base.to_vec();
-            argv.extend(["--threads", threads]);
-            outputs.push(run(&argv).unwrap_or_else(|e| panic!("--threads {threads}: {e:?}")));
+            outputs.push(sweep(threads).unwrap_or_else(|e| panic!("--threads {threads}: {e:?}")));
         }
         assert_eq!(outputs[0], outputs[1], "thread count must not change results");
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend(["--threads", "0"]);
-        let err = run(&argv).expect_err("--threads 0 must be rejected");
+        let err = sweep("0").expect_err("--threads 0 must be rejected");
         assert!(format!("{err:?}").contains("--threads"));
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend(["--threads", "many"]);
-        let err = run(&argv).expect_err("non-numeric --threads must be rejected");
+        let err = sweep("many").expect_err("non-numeric --threads must be rejected");
         assert!(format!("{err:?}").contains("--threads"));
     }
 
@@ -1689,25 +1565,9 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let manifest_path = dir.join("m.json");
         let trace_path = dir.join("trace.json");
-        run(&[
-            "sweep",
-            "--workload",
-            "li",
-            "--instr",
-            "4000",
-            "--warmup",
-            "1000",
-            "--csv",
-            "--engine",
-            "family",
-            "--threads",
-            "2",
-            "--metrics",
-            manifest_path.to_str().expect("utf8 path"),
-            "--trace-out",
-            trace_path.to_str().expect("utf8 path"),
-        ])
-        .expect("sweep with --trace-out");
+        let (m, t) = (manifest_path.display(), trace_path.display());
+        run_line(&format!("{LI_SWEEP} --engine family --threads 2 --metrics {m} --trace-out {t}"))
+            .expect("sweep with --trace-out");
 
         let manifest =
             RunManifest::from_json(&std::fs::read_to_string(&manifest_path).expect("manifest"))
@@ -1757,21 +1617,8 @@ mod tests {
         let reg_dir = dir.join("registry");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let baseline_path = dir.join("baseline.json");
-        run(&[
-            "sweep",
-            "--workload",
-            "li",
-            "--instr",
-            "4000",
-            "--warmup",
-            "1000",
-            "--csv",
-            "--engine",
-            "family",
-            "--metrics",
-            baseline_path.to_str().expect("utf8 path"),
-        ])
-        .expect("baseline sweep");
+        run_line(&format!("{LI_SWEEP} --engine family --metrics {}", baseline_path.display()))
+            .expect("baseline sweep");
 
         // Inject a 2x wall-time regression into an otherwise identical run.
         let mut slow = tlc_obs::registry::load_manifest_file(&baseline_path).expect("baseline");

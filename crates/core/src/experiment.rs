@@ -4,7 +4,9 @@
 //! hierarchy on the workload's reference stream, derive cycle times from
 //! the timing model, price the configuration with the area model, and
 //! combine everything into TPI — producing one [`DesignPoint`], the
-//! (area, TPI) dot of the paper's figures.
+//! (area, TPI) dot of the paper's figures. A captured [`TraceArena`] is
+//! replayed, and an L1 miss stream captured from it, through the shared
+//! warm-up walk [`walk_chunks`].
 
 use crate::machine::{L2Policy, MachineConfig, MachineTiming};
 use crate::tpi;
@@ -13,9 +15,9 @@ use tlc_area::AreaModel;
 use tlc_cache::filter_family::L2Family;
 use tlc_cache::{HierarchyStats, L1FrontEnd, MemorySystem, MissStream, SystemKind};
 use tlc_timing::TimingModel;
-use tlc_trace::arena::{ChunkView, FLAG_NONE, FLAG_STORE};
+use tlc_trace::arena::{FLAG_NONE, FLAG_STORE};
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::{Addr, InstructionSource, MemRef, TraceArena};
+use tlc_trace::{walk_chunks, Addr, ChunkView, InstructionSource, MemRef, TraceArena};
 
 /// How long to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -215,9 +217,7 @@ pub fn simulate_source_on<S: InstructionSource + ?Sized, M: MemorySystem + ?Size
 /// statistics are bit-identical to the generic path.
 #[inline]
 fn replay_chunk<M: MemorySystem>(sys: &mut M, chunk: ChunkView<'_>, start: usize, end: usize) {
-    let fetch = &chunk.fetch[start..end];
-    let data = &chunk.data_addr[start..end];
-    let flags = &chunk.flags[start..end];
+    let (fetch, data, flags) = chunk.columns(start, end);
     for i in 0..fetch.len() {
         sys.access(MemRef::fetch(Addr::new(fetch[i])));
         let flag = flags[i];
@@ -228,62 +228,18 @@ fn replay_chunk<M: MemorySystem>(sys: &mut M, chunk: ChunkView<'_>, start: usize
     }
 }
 
-/// Walks one `(arena, budget)` window through `sys` under the
-/// warm-up/measure protocol: up to `budget.warmup_instructions` records,
-/// a statistics reset, then up to `budget.instructions` more, splitting
-/// the chunk the warm-up boundary falls in. An arena exhausted inside
-/// warm-up (or a zero measurement budget) measures nothing.
-///
-/// `within_limit` is consulted before each chunk; the walk stops and
-/// returns `false` as soon as it refuses (captures bound their event
-/// footprint this way). Monomorphized per system type, so every `access`
-/// in the replay loop is a direct, inlinable call.
-fn walk_window<M: MemorySystem>(
-    sys: &mut M,
-    arena: &TraceArena,
-    budget: SimBudget,
-    mut within_limit: impl FnMut(&M) -> bool,
-) -> bool {
+/// Replays one `(arena, budget)` window through `sys` with the shared
+/// warm-up walk ([`walk_chunks`]): up to `budget.warmup_instructions`
+/// records, a statistics reset, then up to `budget.instructions` more;
+/// an arena exhausted inside warm-up (or a zero measurement budget)
+/// measures nothing. Monomorphized per system type, so every `access` in
+/// the replay loop is a direct, inlinable call. The audit uses it to get
+/// a [`SystemKind`] whose resident contents can be inspected after an
+/// arena replay.
+pub(crate) fn replay_arena_on<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: SimBudget) {
     let warm = budget.warmup_instructions;
     let total = warm.saturating_add(budget.instructions);
-    let mut pos = 0u64; // arena-global index of the next record
-    for chunk in arena.chunks() {
-        if pos >= total {
-            break;
-        }
-        if !within_limit(sys) {
-            return false;
-        }
-        let take = (chunk.len() as u64).min(total - pos);
-        if pos >= warm {
-            // Entirely within measurement (reset already happened).
-            replay_chunk(sys, chunk, 0, take as usize);
-        } else if pos + take <= warm {
-            // Entirely within warm-up.
-            replay_chunk(sys, chunk, 0, take as usize);
-            if pos + take == warm {
-                sys.reset_stats();
-            }
-        } else {
-            // The warm-up boundary falls inside this chunk: split there.
-            let split = (warm - pos) as usize;
-            replay_chunk(sys, chunk, 0, split);
-            sys.reset_stats();
-            replay_chunk(sys, chunk, split, take as usize);
-        }
-        pos += take;
-    }
-    if pos <= warm {
-        sys.reset_stats();
-    }
-    true
-}
-
-/// Replays a whole arena window through `sys` (see [`walk_window`]).
-/// The audit uses it to get a [`SystemKind`] whose resident contents
-/// can be inspected after an arena replay.
-pub(crate) fn replay_arena_on<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: SimBudget) {
-    walk_window(sys, arena, budget, |_| true);
+    walk_chunks(sys, arena.chunks(), warm, total, replay_chunk, M::reset_stats, |_| true);
 }
 
 /// As [`simulate_source`], replaying a captured [`TraceArena`] through
@@ -382,7 +338,12 @@ fn capture_windows<'a>(
     let mut banked = 0usize;
     for (arena, budget) in windows {
         let fits = |fe: &L1FrontEnd| banked + fe.event_bytes() <= byte_limit;
-        if !walk_window(&mut fe, arena, budget, fits) || !fits(&fe) {
+        let warm = budget.warmup_instructions;
+        let total = warm.saturating_add(budget.instructions);
+        let chunks = arena.chunks();
+        if !walk_chunks(&mut fe, chunks, warm, total, replay_chunk, L1FrontEnd::reset_stats, fits)
+            || !fits(&fe)
+        {
             return None;
         }
         let seg = fe.take_stream(arena.name());

@@ -45,6 +45,7 @@ use tlc_cache::{HierarchyStats, MissStream, ReplacementKind};
 use tlc_obs::{obs_count, obs_event, obs_hist, obs_span, Counter, Hist, HistTimer, PhaseSpan};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
+use tlc_trace::store::BYTES_PER_RECORD;
 use tlc_trace::TraceArena;
 
 /// The work unit a sweep worker was executing when it panicked;
@@ -128,14 +129,11 @@ impl std::error::Error for SweepError {}
 /// 2 M-instruction budget.
 pub const ARENA_BYTES_LIMIT: usize = 1 << 30;
 
-/// Packed bytes per captured instruction (fetch `u64` + data `u64` +
-/// flag `u8`); used to predict a capture's footprint before building it.
-pub const ARENA_BYTES_PER_RECORD: usize = 17;
-
-/// Predicted arena footprint in bytes for one benchmark at `budget`.
+/// Predicted arena footprint in bytes for one benchmark at `budget`
+/// ([`BYTES_PER_RECORD`] per instruction).
 pub fn arena_bytes_for(budget: SimBudget) -> usize {
     let records = budget.warmup_instructions.saturating_add(budget.instructions);
-    usize::try_from(records).unwrap_or(usize::MAX).saturating_mul(ARENA_BYTES_PER_RECORD)
+    usize::try_from(records).unwrap_or(usize::MAX).saturating_mul(BYTES_PER_RECORD)
 }
 
 /// Upper bound on one captured miss stream's packed size before the

@@ -11,13 +11,12 @@
 //!
 //! ## Memory layout
 //!
-//! Records are stored structure-of-arrays in fixed-size chunks:
-//! fetch address (`u64`), data address (`u64`), and a one-byte flag
-//! (none/load/store) — 17 bytes per instruction. A standard-budget
-//! capture (500 K warmup + 1.5 M measured) is therefore ≈ 34 MB, shared
-//! by every configuration and thread in the sweep. Chunked allocation
-//! keeps capture cost linear (no doubling copies of a multi-gigabyte
-//! `Vec`) and gives the sweep scheduler natural work granules.
+//! One record per instruction in the shared chunked column store
+//! ([`store`](crate::store)): fetch address (`u64`), data address
+//! (`u64`, zero when absent), and a one-byte flag (none/load/store) —
+//! 17 bytes per instruction. A standard-budget capture (500 K warmup +
+//! 1.5 M measured) is therefore ≈ 34 MB, shared by every configuration
+//! and thread in the sweep.
 //!
 //! ## Example
 //!
@@ -35,8 +34,9 @@
 //! ```
 
 use crate::addr::Addr;
-use crate::record::{InstructionRecord, MemRef};
+use crate::record::{AccessKind, InstructionRecord, MemRef};
 use crate::source::InstructionSource;
+use crate::store::{ChunkView, ColumnStore, PackedRecord, DEFAULT_CHUNK_LEN};
 
 /// Flag value for an instruction with no data reference.
 pub const FLAG_NONE: u8 = 0;
@@ -45,70 +45,27 @@ pub const FLAG_LOAD: u8 = 1;
 /// Flag value for an instruction carrying a data store.
 pub const FLAG_STORE: u8 = 2;
 
-/// Instructions per chunk (64 Ki): large enough that per-chunk overhead
-/// vanishes, small enough to be a useful parallel work granule.
-pub const DEFAULT_CHUNK_LEN: usize = 1 << 16;
-
-/// One structure-of-arrays block of captured instructions.
-#[derive(Debug, Default)]
-struct Chunk {
-    fetch: Vec<u64>,
-    data_addr: Vec<u64>,
-    flags: Vec<u8>,
-}
-
-impl Chunk {
-    fn with_capacity(n: usize) -> Self {
-        Chunk {
-            fetch: Vec::with_capacity(n),
-            data_addr: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
+/// Packed as (fetch address, data address, flag); the data address is
+/// zero where the flag is [`FLAG_NONE`].
+impl PackedRecord for InstructionRecord {
+    fn pack(&self) -> (u64, u64, u8) {
+        match self.data {
+            None => (self.fetch.raw(), 0, FLAG_NONE),
+            Some(d) => {
+                let flag = if d.kind == AccessKind::Store { FLAG_STORE } else { FLAG_LOAD };
+                (self.fetch.raw(), d.addr.raw(), flag)
+            }
         }
     }
 
-    fn len(&self) -> usize {
-        self.fetch.len()
-    }
-}
-
-/// A borrowed, read-only view of one arena chunk's packed columns.
-///
-/// The three slices always have equal length; index `i` across them
-/// describes one instruction. `data_addr[i]` is meaningful only when
-/// `flags[i] != FLAG_NONE` (it is zero otherwise).
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkView<'a> {
-    /// Instruction-fetch byte addresses.
-    pub fetch: &'a [u64],
-    /// Data-reference byte addresses (zero where `flags` is `FLAG_NONE`).
-    pub data_addr: &'a [u64],
-    /// Per-instruction data-reference class: [`FLAG_NONE`],
-    /// [`FLAG_LOAD`], or [`FLAG_STORE`].
-    pub flags: &'a [u8],
-}
-
-impl ChunkView<'_> {
-    /// Instructions in this chunk.
-    pub fn len(&self) -> usize {
-        self.fetch.len()
-    }
-
-    /// Whether the chunk holds no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.fetch.is_empty()
-    }
-
-    /// Decodes one instruction (for tests and generic consumers; the
-    /// simulator fast path reads the columns directly).
-    pub fn record(&self, i: usize) -> InstructionRecord {
-        let fetch = Addr::new(self.fetch[i]);
-        let data = match self.flags[i] {
+    fn unpack(fetch: u64, data_addr: u64, flag: u8) -> Self {
+        let data = match flag {
             FLAG_NONE => None,
-            FLAG_LOAD => Some(MemRef::load(Addr::new(self.data_addr[i]))),
-            FLAG_STORE => Some(MemRef::store(Addr::new(self.data_addr[i]))),
+            FLAG_LOAD => Some(MemRef::load(Addr::new(data_addr))),
+            FLAG_STORE => Some(MemRef::store(Addr::new(data_addr))),
             other => unreachable!("corrupt arena flag {other}"),
         };
-        InstructionRecord { fetch, data }
+        InstructionRecord { fetch: Addr::new(fetch), data }
     }
 }
 
@@ -121,8 +78,7 @@ impl ChunkView<'_> {
 #[derive(Debug)]
 pub struct TraceArena {
     name: String,
-    chunks: Vec<Chunk>,
-    len: u64,
+    store: ColumnStore,
 }
 
 impl TraceArena {
@@ -145,44 +101,11 @@ impl TraceArena {
         len: u64,
         chunk_len: usize,
     ) -> Self {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        let name = source.source_name().to_string();
-        let mut chunks = Vec::new();
-        let mut captured = 0u64;
-        'outer: while captured < len {
-            let want = usize::try_from((len - captured).min(chunk_len as u64))
-                .expect("chunk fits in usize");
-            let mut chunk = Chunk::with_capacity(want);
-            for _ in 0..want {
-                let Some(rec) = source.next_instruction_opt() else {
-                    if chunk.len() > 0 {
-                        captured += chunk.len() as u64;
-                        chunks.push(chunk);
-                    }
-                    break 'outer;
-                };
-                chunk.fetch.push(rec.fetch.raw());
-                match rec.data {
-                    None => {
-                        chunk.data_addr.push(0);
-                        chunk.flags.push(FLAG_NONE);
-                    }
-                    Some(d) => {
-                        chunk.data_addr.push(d.addr.raw());
-                        chunk.flags.push(if d.kind == crate::record::AccessKind::Store {
-                            FLAG_STORE
-                        } else {
-                            FLAG_LOAD
-                        });
-                    }
-                }
-            }
-            captured += chunk.len() as u64;
-            chunks.push(chunk);
-        }
-        let arena = TraceArena { name, chunks, len: captured };
-        tlc_obs::obs_count!(tlc_obs::Counter::TraceInstructions, arena.len);
-        tlc_obs::obs_count!(tlc_obs::Counter::TraceChunks, arena.chunks.len() as u64);
+        let mut store = ColumnStore::new(chunk_len, len);
+        store.fill(|| source.next_instruction_opt());
+        let arena = TraceArena { name: source.source_name().to_string(), store };
+        tlc_obs::obs_count!(tlc_obs::Counter::TraceInstructions, arena.len());
+        tlc_obs::obs_count!(tlc_obs::Counter::TraceChunks, arena.chunks().len() as u64);
         tlc_obs::obs_count!(tlc_obs::Counter::TraceBytesPacked, arena.bytes() as u64);
         arena
     }
@@ -194,33 +117,23 @@ impl TraceArena {
 
     /// Instructions captured.
     pub fn len(&self) -> u64 {
-        self.len
+        self.store.len()
     }
 
     /// Whether the arena holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Approximate resident size of the packed buffers, in bytes.
     pub fn bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| {
-                c.fetch.capacity() * std::mem::size_of::<u64>()
-                    + c.data_addr.capacity() * std::mem::size_of::<u64>()
-                    + c.flags.capacity()
-            })
-            .sum()
+        self.store.bytes()
     }
 
-    /// Iterates over the arena's chunks as packed column views.
+    /// Iterates over the arena's chunks as packed column views: per
+    /// instruction, (fetch address, data address, flag).
     pub fn chunks(&self) -> impl ExactSizeIterator<Item = ChunkView<'_>> {
-        self.chunks.iter().map(|c| ChunkView {
-            fetch: &c.fetch,
-            data_addr: &c.data_addr,
-            flags: &c.flags,
-        })
+        self.store.chunks()
     }
 
     /// A fresh replay cursor over the whole arena.
@@ -242,14 +155,9 @@ pub struct ArenaReplay<'a> {
 impl InstructionSource for ArenaReplay<'_> {
     fn next_instruction_opt(&mut self) -> Option<InstructionRecord> {
         loop {
-            let chunk = self.arena.chunks.get(self.chunk)?;
+            let chunk = self.arena.store.chunk(self.chunk)?;
             if self.offset < chunk.len() {
-                let view = ChunkView {
-                    fetch: &chunk.fetch,
-                    data_addr: &chunk.data_addr,
-                    flags: &chunk.flags,
-                };
-                let rec = view.record(self.offset);
+                let rec = chunk.record(self.offset);
                 self.offset += 1;
                 return Some(rec);
             }
@@ -292,34 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_does_not_change_contents() {
-        let a = TraceArena::capture_chunked(&mut SpecBenchmark::Li.workload(), 1000, 64);
-        let b = TraceArena::capture_chunked(&mut SpecBenchmark::Li.workload(), 1000, 1000);
-        let va: Vec<_> = a.replay().collect();
-        let vb: Vec<_> = b.replay().collect();
-        assert_eq!(va, vb);
-        assert_eq!(a.chunks().len(), 16, "1000/64 rounds up to 16 chunks");
-        assert_eq!(b.chunks().len(), 1);
-    }
-
-    #[test]
-    fn chunk_views_cover_all_records_in_order() {
-        let arena = TraceArena::capture_chunked(&mut SpecBenchmark::Fpppp.workload(), 500, 128);
-        let mut replay = arena.replay();
-        let mut total = 0usize;
-        for view in arena.chunks() {
-            assert_eq!(view.fetch.len(), view.data_addr.len());
-            assert_eq!(view.fetch.len(), view.flags.len());
-            for i in 0..view.len() {
-                assert_eq!(Some(view.record(i)), replay.next_instruction_opt());
-            }
-            total += view.len();
-        }
-        assert_eq!(total as u64, arena.len());
-        assert_eq!(replay.next_instruction_opt(), None);
-    }
-
-    #[test]
     fn capture_stops_at_exhausted_source() {
         let records = SpecBenchmark::Doduc.workload().take_instructions(100);
         let mut short = ReplaySource::new("short", records.clone());
@@ -340,9 +220,11 @@ mod tests {
 
     #[test]
     fn bytes_reflects_packed_layout() {
-        let arena = TraceArena::capture_chunked(&mut SpecBenchmark::Gcc1.workload(), 4096, 1024);
-        // 17 bytes per record, exact because every chunk fills completely.
-        assert_eq!(arena.bytes(), 4096 * 17);
+        let arena = TraceArena::capture_chunked(&mut SpecBenchmark::Gcc1.workload(), 4000, 1024);
+        // 17 bytes per record, exact: the last chunk reserves only the
+        // 928 records still to come.
+        assert_eq!(arena.chunks().len(), 4);
+        assert_eq!(arena.bytes(), 4000 * 17);
     }
 
     #[test]

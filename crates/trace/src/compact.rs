@@ -7,7 +7,7 @@
 //!
 //! * [`CompactTraceWriter`] / [`write_compact_trace`] — encoding;
 //! * [`TraceReader`] — a streaming decoder that implements
-//!   [`InstructionSource`](crate::InstructionSource), so a trace file can
+//!   [`InstructionSource`], so a trace file can
 //!   feed [`TraceArena::capture`](crate::TraceArena::capture)
 //!   chunk-by-chunk under a bounded memory budget without ever holding
 //!   the decoded stream in memory;
@@ -209,15 +209,8 @@ impl<R: Read> TraceReader<R> {
     pub fn new(mut input: R, name: impl Into<String>) -> Result<Self, TraceIoError> {
         io::expect_magic(&mut input, COMPACT_MAGIC)?;
         let mut version = [0u8; 1];
-        input.read_exact(&mut version).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset: 8,
-                    detail: "stream ended before the version byte".into(),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
+        io::read_exact_at(&mut input, &mut version, 8, || {
+            "stream ended before the version byte".into()
         })?;
         if version[0] != COMPACT_VERSION {
             return Err(TraceIoError::UnknownVersion {
@@ -262,15 +255,9 @@ impl<R: Read> TraceReader<R> {
         let mut shift = 0u32;
         loop {
             let mut byte = [0u8; 1];
-            self.input.read_exact(&mut byte).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    TraceIoError::Truncated {
-                        offset: record_offset,
-                        detail: format!("record {} cut short inside a varint", self.decoded),
-                    }
-                } else {
-                    TraceIoError::Io(e)
-                }
+            let decoded = self.decoded;
+            io::read_exact_at(&mut self.input, &mut byte, record_offset, || {
+                format!("record {decoded} cut short inside a varint")
             })?;
             self.offset += 1;
             let byte = byte[0];
@@ -530,6 +517,42 @@ impl RefFolder {
     }
 }
 
+/// Folds the references `next` yields into instruction records
+/// ([`RefFolder`]) and writes them until `limit` records are written.
+fn fold_refs<W: Write>(
+    writer: &mut CompactTraceWriter<W>,
+    limit: u64,
+    mut next: impl FnMut() -> Result<Option<MemRef>, TraceIoError>,
+) -> Result<(), TraceIoError> {
+    let mut folder = RefFolder::default();
+    while let Some(r) = next()? {
+        if let Some(rec) = folder.push(r) {
+            if writer.written() >= limit {
+                return Ok(());
+            }
+            writer.write(&rec)?;
+        }
+    }
+    match folder.finish() {
+        Some(rec) if writer.written() < limit => Ok(writer.write(&rec)?),
+        _ => Ok(()),
+    }
+}
+
+/// Reads until `buf` is full or the input ends; returns the bytes read.
+fn read_up_to<R: Read>(input: &mut R, buf: &mut [u8]) -> Result<usize, TraceIoError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match input.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(TraceIoError::Io(e)),
+        }
+    }
+    Ok(got)
+}
+
 fn parse_addr_list_line(t: &str, lineno: usize, offset: u64) -> Result<MemRef, TraceIoError> {
     let bad = |detail: String| TraceIoError::Corrupt { offset, detail };
     let (kind, addr_s) = match t.split_once(char::is_whitespace) {
@@ -596,118 +619,53 @@ pub fn import_to_compact<R: BufRead, W: Write>(
         }
         ImportFormat::Refs => {
             io::expect_magic(&mut input, io::BINARY_MAGIC)?;
-            let mut folder = RefFolder::default();
             let mut index = 0u64;
-            'refs: loop {
-                let offset = 8 + index * 9;
-                let mut kind_byte = [0u8; 1];
-                match input.read_exact(&mut kind_byte) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                    Err(e) => return Err(TraceIoError::Io(e)),
-                }
-                let kind = match kind_byte[0] {
-                    0 => AccessKind::InstrFetch,
-                    1 => AccessKind::Load,
-                    2 => AccessKind::Store,
-                    k => {
-                        return Err(TraceIoError::Corrupt {
-                            offset,
-                            detail: format!("unknown reference kind byte {k}"),
-                        })
-                    }
-                };
-                let mut addr = [0u8; 8];
-                input.read_exact(&mut addr).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        TraceIoError::Truncated {
-                            offset,
-                            detail: format!("reference record {index} cut short"),
-                        }
-                    } else {
-                        TraceIoError::Io(e)
-                    }
-                })?;
+            fold_refs(&mut writer, limit, || {
                 index += 1;
-                let r = MemRef { addr: Addr::new(u64::from_le_bytes(addr)), kind };
-                if let Some(rec) = folder.push(r) {
-                    if writer.written() >= limit {
-                        break 'refs;
-                    }
-                    writer.write(&rec)?;
-                }
-            }
-            if let Some(rec) = folder.finish() {
-                if writer.written() < limit {
-                    writer.write(&rec)?;
-                }
-            }
+                io::read_ref_record(&mut input, index - 1)
+            })?;
         }
         ImportFormat::Text | ImportFormat::AddrText => {
-            let mut folder = RefFolder::default();
-            let mut offset = 0u64;
-            let mut line = String::new();
-            let mut lineno = 0usize;
-            'lines: loop {
+            let (mut offset, mut lineno, mut line) = (0u64, 0usize, String::new());
+            fold_refs(&mut writer, limit, || loop {
                 line.clear();
                 if input.read_line(&mut line)? == 0 {
-                    break;
+                    return Ok(None);
                 }
                 let line_offset = offset;
                 offset += line.len() as u64;
-                let t = line.trim();
                 lineno += 1;
+                let t = line.trim();
                 if t.is_empty() || t.starts_with('#') {
                     continue;
                 }
-                let r = if format == ImportFormat::Text {
-                    io::parse_text_ref(t, lineno - 1, line_offset)?
+                return if format == ImportFormat::Text {
+                    io::parse_text_ref(t, lineno - 1, line_offset).map(Some)
                 } else {
-                    parse_addr_list_line(t, lineno - 1, line_offset)?
+                    parse_addr_list_line(t, lineno - 1, line_offset).map(Some)
                 };
-                if let Some(rec) = folder.push(r) {
-                    if writer.written() >= limit {
-                        break 'lines;
-                    }
-                    writer.write(&rec)?;
-                }
-            }
-            if let Some(rec) = folder.finish() {
-                if writer.written() < limit {
-                    writer.write(&rec)?;
-                }
-            }
+            })?;
         }
         ImportFormat::AddrBinary => {
-            let mut folder = RefFolder::default();
             let mut index = 0u64;
-            loop {
+            fold_refs(&mut writer, limit, || {
                 let mut addr = [0u8; 8];
-                match input.read_exact(&mut addr) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                        // Raw address lists have no header to anchor a
-                        // record boundary, so a trailing partial word is
-                        // still a truncation worth naming.
-                        break;
+                match read_up_to(&mut input, &mut addr)? {
+                    0 => return Ok(None),
+                    8 => {}
+                    // Raw address lists have no header to anchor a record
+                    // boundary, so a trailing partial word is the only
+                    // truncation they can show: name it.
+                    got => {
+                        return Err(TraceIoError::Truncated {
+                            offset: 8 * index,
+                            detail: format!("address word {index} cut short ({got} of 8 bytes)"),
+                        })
                     }
-                    Err(e) => return Err(TraceIoError::Io(e)),
-                }
-                if writer.written() >= limit {
-                    break;
-                }
-                let r = MemRef::load(Addr::new(u64::from_le_bytes(addr)));
-                if let Some(rec) = folder.push(r) {
-                    writer.write(&rec)?;
                 }
                 index += 1;
-            }
-            let _ = index;
-            if let Some(rec) = folder.finish() {
-                if writer.written() < limit {
-                    writer.write(&rec)?;
-                }
-            }
+                Ok(Some(MemRef::load(Addr::new(u64::from_le_bytes(addr)))))
+            })?;
         }
     }
     let written = writer.written();
@@ -879,6 +837,20 @@ mod tests {
         let recs = read_compact_trace(&out[..]).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].data, Some(MemRef::load(Addr::new(0x20))));
+    }
+
+    #[test]
+    fn addr_binary_trailing_partial_word_is_truncation() {
+        let words: Vec<u8> = (0..100u64).flat_map(|i| (0x1000 + 16 * i).to_le_bytes()).collect();
+        let whole = import_to_compact(ImportFormat::AddrBinary, &words[..], Vec::new(), None);
+        assert_eq!(whole.unwrap(), 100);
+        let mut cut = words.clone();
+        cut.extend_from_slice(&[1, 2, 3]);
+        let err = import_to_compact(ImportFormat::AddrBinary, &cut[..], Vec::new(), None);
+        match err.unwrap_err() {
+            TraceIoError::Truncated { offset, .. } => assert_eq!(offset, 800),
+            other => panic!("expected a truncation at 800, got {other}"),
+        }
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! miss/victim stream is independent of the L2 configuration, so a sweep
 //! can simulate the L1 once and fan every L2 over the much smaller event
 //! stream (1–10% of the references, per Table 1's miss rates). This
-//! module provides the packed buffer for that stream; the front-end that
-//! produces it and the back-ends that consume it live in `tlc-cache`.
+//! module encodes that stream into the shared [`store`](crate::store);
+//! its front-end producer and back-end consumers live in `tlc-cache`.
 //!
 //! ## Memory layout
 //!
-//! Events are stored structure-of-arrays in fixed-size chunks, mirroring
-//! [`TraceArena`](crate::TraceArena): requested line (`u64`), victim line
-//! (`u64`, zero when absent), and a one-byte flag — 17 bytes per event.
+//! One record per event in the chunked column store
+//! [`TraceArena`](crate::TraceArena) also uses ([`store`](crate::store)):
+//! requested line (`u64`), victim line (`u64`, zero when absent), and a
+//! one-byte flag — 17 bytes per event.
 //! The flag packs the access kind (fetch/load/store) in its low two bits
 //! plus "has victim" and "victim written" bits.
 //!
@@ -38,6 +39,7 @@
 
 use crate::addr::LineAddr;
 use crate::record::AccessKind;
+use crate::store::{ChunkView, ColumnStore, PackedRecord, DEFAULT_CHUNK_LEN};
 
 /// Flag bits 0–1: the access kind that missed (instruction fetch).
 pub const EVENT_KIND_FETCH: u8 = 0;
@@ -54,14 +56,6 @@ pub const EVENT_HAS_VICTIM: u8 = 0b0100;
 /// was resident in the L1 (store-only dirty; an exclusive back-end adds
 /// the filled-from-dirty-L2 component itself).
 pub const EVENT_VICTIM_WRITTEN: u8 = 0b1000;
-
-/// Packed bytes per captured event (line `u64` + victim `u64` + flag
-/// `u8`); used to bound a capture's footprint.
-pub const EVENT_BYTES_PER_RECORD: usize = 17;
-
-/// Events per chunk (64 Ki), matching
-/// [`DEFAULT_CHUNK_LEN`](crate::arena::DEFAULT_CHUNK_LEN).
-pub const DEFAULT_EVENT_CHUNK_LEN: usize = 1 << 16;
 
 /// The L1 line displaced by a miss fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,69 +97,25 @@ impl MissEvent {
     }
 }
 
-/// One structure-of-arrays block of captured events.
-#[derive(Debug, Default)]
-struct EventChunk {
-    line: Vec<u64>,
-    victim: Vec<u64>,
-    flags: Vec<u8>,
-}
-
-impl EventChunk {
-    fn with_capacity(n: usize) -> Self {
-        EventChunk {
-            line: Vec::with_capacity(n),
-            victim: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-        }
+/// Packed as (requested line, victim line, [`MissEvent::flags`]); the
+/// victim line is zero where [`EVENT_HAS_VICTIM`] is clear.
+impl PackedRecord for MissEvent {
+    fn pack(&self) -> (u64, u64, u8) {
+        (self.line.0, self.victim.map_or(0, |v| v.line.0), self.flags())
     }
 
-    fn len(&self) -> usize {
-        self.line.len()
-    }
-}
-
-/// A borrowed, read-only view of one event chunk's packed columns.
-///
-/// The three slices always have equal length; index `i` across them
-/// describes one event. `victim[i]` is meaningful only when `flags[i]`
-/// has [`EVENT_HAS_VICTIM`] set (it is zero otherwise).
-#[derive(Debug, Clone, Copy)]
-pub struct EventChunkView<'a> {
-    /// Requested (L1-filled) line addresses.
-    pub line: &'a [u64],
-    /// Victim line addresses (zero where no victim was displaced).
-    pub victim: &'a [u64],
-    /// Per-event flag bytes (kind bits plus victim bits).
-    pub flags: &'a [u8],
-}
-
-impl EventChunkView<'_> {
-    /// Events in this chunk.
-    pub fn len(&self) -> usize {
-        self.line.len()
-    }
-
-    /// Whether the chunk holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.line.is_empty()
-    }
-
-    /// Decodes one event (for tests and generic consumers; the back-end
-    /// fast paths read the columns directly).
-    pub fn record(&self, i: usize) -> MissEvent {
-        let f = self.flags[i];
+    fn unpack(line: u64, victim: u64, f: u8) -> Self {
         let kind = match f & EVENT_KIND_MASK {
             EVENT_KIND_FETCH => AccessKind::InstrFetch,
             EVENT_KIND_LOAD => AccessKind::Load,
             EVENT_KIND_STORE => AccessKind::Store,
             other => unreachable!("corrupt event kind {other}"),
         };
-        let victim = (f & EVENT_HAS_VICTIM != 0).then(|| VictimLine {
-            line: LineAddr(self.victim[i]),
+        let victim = (f & EVENT_HAS_VICTIM != 0).then_some(VictimLine {
+            line: LineAddr(victim),
             written: f & EVENT_VICTIM_WRITTEN != 0,
         });
-        MissEvent { kind, line: LineAddr(self.line[i]), victim }
+        MissEvent { kind, line: LineAddr(line), victim }
     }
 }
 
@@ -175,17 +125,21 @@ impl EventChunkView<'_> {
 ///
 /// Arenas are immutable after capture and safely shared across threads by
 /// reference; each replay is an independent walk over [`EventArena::chunks`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventArena {
-    chunks: Vec<EventChunk>,
-    chunk_len: usize,
-    len: u64,
+    store: ColumnStore,
+}
+
+impl Default for EventArena {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EventArena {
     /// An empty arena with the default chunk size.
     pub fn new() -> Self {
-        Self::with_chunk_len(DEFAULT_EVENT_CHUNK_LEN)
+        Self::with_chunk_len(DEFAULT_CHUNK_LEN)
     }
 
     /// An empty arena with an explicit chunk size (exposed so tests can
@@ -195,62 +149,41 @@ impl EventArena {
     ///
     /// Panics if `chunk_len` is zero.
     pub fn with_chunk_len(chunk_len: usize) -> Self {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        EventArena { chunks: Vec::new(), chunk_len, len: 0 }
+        EventArena { store: ColumnStore::new(chunk_len, u64::MAX) }
     }
 
     /// Appends one event.
     #[inline]
     pub fn push(&mut self, ev: MissEvent) {
-        let need_new = match self.chunks.last() {
-            Some(c) => c.len() >= self.chunk_len,
-            None => true,
-        };
-        if need_new {
-            self.chunks.push(EventChunk::with_capacity(self.chunk_len));
-        }
-        let chunk = self.chunks.last_mut().expect("chunk just ensured");
-        chunk.line.push(ev.line.0);
-        chunk.victim.push(ev.victim.map_or(0, |v| v.line.0));
-        chunk.flags.push(ev.flags());
-        self.len += 1;
+        let mut ev = Some(ev);
+        self.store.fill(|| ev.take());
     }
 
     /// Events captured.
     pub fn len(&self) -> u64 {
-        self.len
+        self.store.len()
     }
 
     /// Whether the arena holds no events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Approximate resident size of the packed buffers, in bytes.
     pub fn bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| {
-                c.line.capacity() * std::mem::size_of::<u64>()
-                    + c.victim.capacity() * std::mem::size_of::<u64>()
-                    + c.flags.capacity()
-            })
-            .sum()
+        self.store.bytes()
     }
 
-    /// Iterates over the arena's chunks as packed column views.
-    pub fn chunks(&self) -> impl ExactSizeIterator<Item = EventChunkView<'_>> {
-        self.chunks.iter().map(|c| EventChunkView {
-            line: &c.line,
-            victim: &c.victim,
-            flags: &c.flags,
-        })
+    /// Iterates over the arena's chunks as packed column views: per
+    /// event, (requested line, victim line, flag byte).
+    pub fn chunks(&self) -> impl ExactSizeIterator<Item = ChunkView<'_>> {
+        self.store.chunks()
     }
 
     /// Iterates over all events in capture order (decoded; tests and
     /// generic consumers — back-ends walk [`EventArena::chunks`] instead).
     pub fn iter(&self) -> impl Iterator<Item = MissEvent> + '_ {
-        self.chunks().flat_map(|view| (0..view.len()).map(move |i| view.record(i)))
+        self.store.iter()
     }
 }
 
@@ -284,40 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn chunking_preserves_order_and_len() {
-        let mut arena = EventArena::with_chunk_len(3);
-        let events: Vec<MissEvent> = (0..10)
-            .map(|i| {
-                ev(AccessKind::Load, i, if i % 2 == 0 { Some((i + 100, i % 4 == 0)) } else { None })
-            })
-            .collect();
-        for &e in &events {
-            arena.push(e);
-        }
-        assert_eq!(arena.chunks().len(), 4, "10 events / 3 per chunk");
-        let got: Vec<MissEvent> = arena.iter().collect();
-        assert_eq!(got, events);
-        // Chunk views cover exactly the stream.
-        let total: usize = arena.chunks().map(|c| c.len()).sum();
-        assert_eq!(total as u64, arena.len());
-    }
-
-    #[test]
     fn flags_pack_kind_and_victim_bits() {
         let e = ev(AccessKind::Store, 1, Some((2, true)));
         assert_eq!(e.flags(), EVENT_KIND_STORE | EVENT_HAS_VICTIM | EVENT_VICTIM_WRITTEN);
         let e = ev(AccessKind::InstrFetch, 1, None);
         assert_eq!(e.flags(), EVENT_KIND_FETCH);
-    }
-
-    #[test]
-    fn bytes_reflects_packed_layout() {
-        let mut arena = EventArena::with_chunk_len(64);
-        for i in 0..64 {
-            arena.push(ev(AccessKind::Load, i, None));
-        }
-        // One full chunk: 17 bytes per event, exact.
-        assert_eq!(arena.bytes(), 64 * EVENT_BYTES_PER_RECORD);
     }
 
     #[test]

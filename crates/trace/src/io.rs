@@ -121,6 +121,23 @@ impl From<TraceIoError> for io::Error {
     }
 }
 
+/// `read_exact`, reporting an early end of input as
+/// [`TraceIoError::Truncated`] at `offset`, described by `detail`.
+pub(crate) fn read_exact_at<R: Read>(
+    input: &mut R,
+    buf: &mut [u8],
+    offset: u64,
+    detail: impl FnOnce() -> String,
+) -> Result<(), TraceIoError> {
+    input.read_exact(buf).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            TraceIoError::Truncated { offset, detail: detail() }
+        } else {
+            TraceIoError::Io(e)
+        }
+    })
+}
+
 /// Reads and checks an 8-byte magic, reporting truncation and mismatch
 /// as typed errors.
 pub(crate) fn expect_magic<R: Read>(
@@ -128,18 +145,11 @@ pub(crate) fn expect_magic<R: Read>(
     expected: &'static [u8; 8],
 ) -> Result<(), TraceIoError> {
     let mut magic = [0u8; 8];
-    input.read_exact(&mut magic).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceIoError::Truncated {
-                offset: 0,
-                detail: format!(
-                    "stream ended inside the 8-byte magic (expected {:?})",
-                    expected.escape_ascii().to_string()
-                ),
-            }
-        } else {
-            TraceIoError::Io(e)
-        }
+    read_exact_at(input, &mut magic, 0, || {
+        format!(
+            "stream ended inside the 8-byte magic (expected {:?})",
+            expected.escape_ascii().to_string()
+        )
     })?;
     if &magic != expected {
         return Err(TraceIoError::BadMagic { found: magic, expected });
@@ -229,42 +239,41 @@ impl<W: Write> BinaryTraceWriter<W> {
 pub fn read_binary_trace<R: Read>(mut input: R) -> Result<Vec<MemRef>, TraceIoError> {
     expect_magic(&mut input, BINARY_MAGIC)?;
     let mut refs = Vec::new();
-    loop {
-        let offset = 8 + refs.len() as u64 * 9;
-        // A record may legitimately be absent (clean EOF before the kind
-        // byte) but never partial: once the kind byte exists, the 8-byte
-        // address must follow.
-        let mut kind_byte = [0u8; 1];
-        match input.read_exact(&mut kind_byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(TraceIoError::Io(e)),
-        }
-        let kind = match kind_byte[0] {
-            0 => AccessKind::InstrFetch,
-            1 => AccessKind::Load,
-            2 => AccessKind::Store,
-            k => {
-                return Err(TraceIoError::Corrupt {
-                    offset,
-                    detail: format!("unknown reference kind byte {k}"),
-                })
-            }
-        };
-        let mut addr = [0u8; 8];
-        input.read_exact(&mut addr).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset,
-                    detail: format!("reference record {} cut short", refs.len()),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
-        })?;
-        refs.push(MemRef { addr: Addr::new(u64::from_le_bytes(addr)), kind });
+    while let Some(r) = read_ref_record(&mut input, refs.len() as u64)? {
+        refs.push(r);
     }
     Ok(refs)
+}
+
+/// Decodes record `index` of a `TLCREF01` stream (the magic already
+/// consumed): `None` at a clean end of input. A record may legitimately
+/// be absent (EOF before the kind byte) but never partial: once the
+/// kind byte exists, the 8-byte address must follow.
+pub(crate) fn read_ref_record<R: Read>(
+    input: &mut R,
+    index: u64,
+) -> Result<Option<MemRef>, TraceIoError> {
+    let offset = 8 + index * 9;
+    let mut kind_byte = [0u8; 1];
+    match input.read_exact(&mut kind_byte) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(TraceIoError::Io(e)),
+    }
+    let kind = match kind_byte[0] {
+        0 => AccessKind::InstrFetch,
+        1 => AccessKind::Load,
+        2 => AccessKind::Store,
+        k => {
+            return Err(TraceIoError::Corrupt {
+                offset,
+                detail: format!("unknown reference kind byte {k}"),
+            })
+        }
+    };
+    let mut addr = [0u8; 8];
+    read_exact_at(input, &mut addr, offset, || format!("reference record {index} cut short"))?;
+    Ok(Some(MemRef { addr: Addr::new(u64::from_le_bytes(addr)), kind }))
 }
 
 /// Writes references in the text format, one `K 0xADDR` line each.
@@ -392,23 +401,15 @@ pub fn read_instruction_trace<R: Read>(
                 detail: format!("unknown instruction-record flags {flags:#04x}"),
             });
         }
-        let truncated = |e: io::Error| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset: record_offset,
-                    detail: format!("instruction record {} cut short", out.len()),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
-        };
+        let index = out.len();
+        let truncated = || format!("instruction record {index} cut short");
         let mut fetch = [0u8; 8];
-        input.read_exact(&mut fetch).map_err(truncated)?;
+        read_exact_at(&mut input, &mut fetch, record_offset, truncated)?;
         offset += 8;
         let fetch = Addr::new(u64::from_le_bytes(fetch));
         let data = if flags & 1 != 0 {
             let mut a = [0u8; 8];
-            input.read_exact(&mut a).map_err(truncated)?;
+            read_exact_at(&mut input, &mut a, record_offset, truncated)?;
             offset += 8;
             let addr = Addr::new(u64::from_le_bytes(a));
             Some(if flags & 2 != 0 { MemRef::store(addr) } else { MemRef::load(addr) })
@@ -455,10 +456,11 @@ pub fn write_event_trace<W: Write>(mut out: W, events: &crate::EventArena) -> io
     out.write_all(EVENT_MAGIC)?;
     out.write_all(&events.len().to_le_bytes())?;
     for chunk in events.chunks() {
-        for i in 0..chunk.len() {
-            out.write_all(&[chunk.flags[i]])?;
-            out.write_all(&chunk.line[i].to_le_bytes())?;
-            out.write_all(&chunk.victim[i].to_le_bytes())?;
+        let (lines, victims, flags) = chunk.columns(0, chunk.len());
+        for ((&f, line), victim) in flags.iter().zip(lines).zip(victims) {
+            out.write_all(&[f])?;
+            out.write_all(&line.to_le_bytes())?;
+            out.write_all(&victim.to_le_bytes())?;
         }
     }
     out.flush()
@@ -479,33 +481,20 @@ pub fn read_event_trace<R: Read>(mut input: R) -> Result<crate::EventArena, Trac
     use crate::events::{
         EVENT_HAS_VICTIM, EVENT_KIND_MASK, EVENT_KIND_STORE, EVENT_VICTIM_WRITTEN,
     };
-    use crate::{LineAddr, MissEvent, VictimLine};
+    use crate::store::PackedRecord;
+    use crate::MissEvent;
     expect_magic(&mut input, EVENT_MAGIC)?;
     let mut count = [0u8; 8];
-    input.read_exact(&mut count).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceIoError::Truncated {
-                offset: 8,
-                detail: "stream ended inside the event-count header".into(),
-            }
-        } else {
-            TraceIoError::Io(e)
-        }
+    read_exact_at(&mut input, &mut count, 8, || {
+        "stream ended inside the event-count header".into()
     })?;
     let count = u64::from_le_bytes(count);
     let mut arena = crate::EventArena::new();
     let mut rec = [0u8; 17];
     for i in 0..count {
         let offset = 16 + i * 17;
-        input.read_exact(&mut rec).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset,
-                    detail: format!("event trace truncated at record {i} of {count}"),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
+        read_exact_at(&mut input, &mut rec, offset, || {
+            format!("event trace truncated at record {i} of {count}")
         })?;
         let flags = rec[0];
         let known = EVENT_KIND_MASK | EVENT_HAS_VICTIM | EVENT_VICTIM_WRITTEN;
@@ -526,26 +515,14 @@ pub fn read_event_trace<R: Read>(mut input: R) -> Result<crate::EventArena, Trac
                 ),
             });
         }
-        let victim = if flags & EVENT_HAS_VICTIM != 0 {
-            Some(VictimLine {
-                line: LineAddr(victim_word),
-                written: flags & EVENT_VICTIM_WRITTEN != 0,
-            })
-        } else {
-            if victim_word != 0 || flags & EVENT_VICTIM_WRITTEN != 0 {
-                return Err(TraceIoError::Corrupt {
-                    offset,
-                    detail: format!("victim payload without victim flag at record {i}"),
-                });
-            }
-            None
-        };
-        let kind = match flags & EVENT_KIND_MASK {
-            0 => AccessKind::InstrFetch,
-            1 => AccessKind::Load,
-            _ => AccessKind::Store,
-        };
-        arena.push(MissEvent { kind, line: LineAddr(line), victim });
+        if flags & EVENT_HAS_VICTIM == 0 && (victim_word != 0 || flags & EVENT_VICTIM_WRITTEN != 0)
+        {
+            return Err(TraceIoError::Corrupt {
+                offset,
+                detail: format!("victim payload without victim flag at record {i}"),
+            });
+        }
+        arena.push(MissEvent::unpack(line, victim_word, flags));
     }
     // The count header is authoritative; trailing bytes mean the stream
     // was not produced by `write_event_trace`.

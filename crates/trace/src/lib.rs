@@ -35,6 +35,8 @@
 //!   replayed by every configuration of a design-space sweep.
 //! * [`EventArena`] — an L1 front-end's miss/victim event stream,
 //!   captured once and fanned over every L2 configuration sharing it.
+//! * [`store`] — the chunked column store both arenas pack into, and
+//!   [`walk_chunks`], the one warm-up/measure walk over it.
 //! * [`spec`] — the seven SPEC'89-like presets of the paper's Table 1.
 //! * [`TraceStats`] — Table-1-style counters and footprints.
 //! * [`io`] — binary and text trace serialisation.
@@ -56,16 +58,18 @@ mod source;
 pub mod spec;
 pub mod specfile;
 mod stats;
+pub mod store;
 mod timeslice;
 mod workload;
 
 pub use addr::{Addr, AddrRange, LineAddr};
-pub use arena::{ArenaReplay, ChunkView, TraceArena};
+pub use arena::{ArenaReplay, TraceArena};
 pub use compact::{CompactTraceWriter, ImportFormat, TraceReader};
-pub use events::{EventArena, EventChunkView, MissEvent, VictimLine};
+pub use events::{EventArena, MissEvent, VictimLine};
 pub use io::TraceIoError;
 pub use record::{AccessKind, InstructionRecord, MemRef};
 pub use source::{InstructionSource, ReplaySource};
 pub use stats::{TraceStats, TraceSummary};
+pub use store::{walk_chunks, ChunkView};
 pub use timeslice::TimeSliced;
 pub use workload::Workload;

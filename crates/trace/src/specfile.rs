@@ -72,6 +72,53 @@ impl From<serde_json::Error> for SpecError {
     }
 }
 
+/// Largest region, stream array or code footprint a spec may declare, in
+/// KB (4 TiB): far beyond any cache in the design space, and small
+/// enough that `size_kb * 1024` cannot overflow.
+pub const MAX_SPACE_KB: u64 = 1 << 32;
+
+/// Largest pointer-chase region a spec may declare, in KB (256 MiB). The
+/// chase keeps a successor table with one `u32` per 16-byte line, so
+/// this bounds that allocation at 64 MiB.
+pub const MAX_CHASE_KB: u64 = 256 * 1024;
+
+/// Most loop sites a code spec may declare (each is an allocation).
+pub const MAX_SITES: usize = 1 << 16;
+
+/// The byte length of a `size_kb` span starting at `base`, or an error
+/// naming `field` if the size is zero, above `max_kb`, or runs past the
+/// end of the 64-bit address space.
+fn span_bytes(field: &str, base: u64, size_kb: u64, max_kb: u64) -> Result<u64, SpecError> {
+    let bytes = size_kb
+        .checked_mul(1024)
+        .filter(|_| (1..=max_kb).contains(&size_kb))
+        .ok_or_else(|| SpecError::Invalid(format!("{field} must be in 1..={max_kb}")))?;
+    if base.checked_add(bytes).is_none() {
+        return Err(SpecError::Invalid(format!(
+            "{field} {size_kb} at base {base:#x} runs past the end of the address space"
+        )));
+    }
+    Ok(bytes)
+}
+
+/// Checks what a weighted sampler needs of `weights`: each finite and
+/// non-negative, with a positive, finite sum.
+fn check_weights(field: &str, weights: impl IntoIterator<Item = f64>) -> Result<(), SpecError> {
+    let mut sum = 0.0;
+    for w in weights {
+        if !(w.is_finite() && w >= 0.0) {
+            return Err(SpecError::Invalid(format!("{field} weight {w} must be finite and >= 0")));
+        }
+        sum += w;
+    }
+    if !(sum > 0.0 && sum.is_finite()) {
+        return Err(SpecError::Invalid(format!(
+            "{field} weights must have a positive, finite sum"
+        )));
+    }
+    Ok(())
+}
+
 /// Code-generator parameters (mirrors
 /// [`CodeParams`], sized in KB for
 /// convenience).
@@ -169,20 +216,16 @@ impl DataSpec {
                 if rs.is_empty() {
                     return Err(SpecError::Invalid("regions list is empty".into()));
                 }
+                check_weights("region", rs.iter().map(|r| r.weight))?;
                 let regions = rs
                     .iter()
                     .map(|r| {
-                        if r.size_kb == 0 {
-                            return Err(SpecError::Invalid(format!(
-                                "region at {:#x} has zero size",
-                                r.base
-                            )));
-                        }
+                        let bytes = span_bytes("region size_kb", r.base, r.size_kb, MAX_SPACE_KB)?;
                         if r.mean_run < 1.0 {
                             return Err(SpecError::Invalid("mean_run must be >= 1".into()));
                         }
                         Ok(Region::new(
-                            AddrRange::new(Addr::new(r.base), r.size_kb * 1024),
+                            AddrRange::new(Addr::new(r.base), bytes),
                             r.weight,
                             r.mean_run,
                         ))
@@ -197,14 +240,15 @@ impl DataSpec {
                 let arrays = arrays
                     .iter()
                     .map(|a| {
-                        if a.stride_bytes == 0 || a.stride_bytes > a.size_kb * 1024 {
+                        let bytes = span_bytes("stream size_kb", a.base, a.size_kb, MAX_SPACE_KB)?;
+                        if a.stride_bytes == 0 || a.stride_bytes > bytes {
                             return Err(SpecError::Invalid(format!(
                                 "array at {:#x}: bad stride {}",
                                 a.base, a.stride_bytes
                             )));
                         }
                         Ok(StreamArray::new(
-                            AddrRange::new(Addr::new(a.base), a.size_kb * 1024),
+                            AddrRange::new(Addr::new(a.base), bytes),
                             a.stride_bytes,
                         ))
                     })
@@ -212,14 +256,12 @@ impl DataSpec {
                 Ok(Box::new(StreamWalker::new(arrays)))
             }
             DataSpec::Chase(c) => {
-                if c.size_kb * 1024 < 32 {
-                    return Err(SpecError::Invalid("chase region must hold >= 2 lines".into()));
-                }
+                let bytes = span_bytes("chase size_kb", c.base, c.size_kb, MAX_CHASE_KB)?;
                 if !(0.0..=1.0).contains(&c.p_restart) {
                     return Err(SpecError::Invalid("p_restart must be a probability".into()));
                 }
                 Ok(Box::new(PermutationChase::new(
-                    AddrRange::new(Addr::new(c.base), c.size_kb * 1024),
+                    AddrRange::new(Addr::new(c.base), bytes),
                     c.p_restart,
                     rng,
                 )))
@@ -228,6 +270,7 @@ impl DataSpec {
                 if entries.is_empty() {
                     return Err(SpecError::Invalid("mixture is empty".into()));
                 }
+                check_weights("mixture", entries.iter().map(|e| e.weight))?;
                 let entries = entries
                     .iter()
                     .map(|e| {
@@ -289,25 +332,28 @@ impl WorkloadSpec {
             return Err(SpecError::Invalid("store_fraction must be in [0,1]".into()));
         }
         let c = &self.code;
-        if c.footprint_kb == 0 || c.n_sites == 0 {
-            return Err(SpecError::Invalid(
-                "code footprint and site count must be positive".into(),
-            ));
+        let footprint_bytes =
+            span_bytes("code footprint_kb", c.base, c.footprint_kb, MAX_SPACE_KB)?;
+        if !(1..=MAX_SITES).contains(&c.n_sites) {
+            return Err(SpecError::Invalid(format!("code n_sites must be in 1..={MAX_SITES}")));
         }
         if c.body_min_bytes < 4 || c.body_min_bytes > c.body_max_bytes {
             return Err(SpecError::Invalid("invalid code body bounds".into()));
         }
-        if c.body_max_bytes > c.footprint_kb * 1024 {
+        if c.body_max_bytes > footprint_bytes {
             return Err(SpecError::Invalid("loop body larger than code footprint".into()));
         }
         if c.mean_iters < 1.0 || !(0.0..=1.0).contains(&c.p_excursion) {
             return Err(SpecError::Invalid("invalid loop parameters".into()));
         }
+        if !(c.zipf_theta.is_finite() && c.zipf_theta >= 0.0) {
+            return Err(SpecError::Invalid("code zipf_theta must be finite and >= 0".into()));
+        }
 
         let mut layout_rng = StdRng::seed_from_u64(self.seed ^ 0xD1CE);
         let instr = Box::new(CodeWalker::new(
             CodeParams {
-                footprint_bytes: c.footprint_kb * 1024,
+                footprint_bytes,
                 n_sites: c.n_sites,
                 body_min_bytes: c.body_min_bytes,
                 body_max_bytes: c.body_max_bytes,
@@ -447,6 +493,59 @@ mod tests {
             ..sample_spec()
         };
         assert!(matches!(spec3.build(), Err(SpecError::Invalid(_))));
+    }
+
+    /// Oversized, zero or unsamplable parameters are `SpecError::Invalid`
+    /// naming the field — never a panic, a wrapped range or a huge
+    /// allocation.
+    #[test]
+    fn out_of_range_sizes_and_weights_name_their_field() {
+        let huge = 1 << 54;
+        let region = |base, size_kb, weight| RegionSpec { base, size_kb, weight, mean_run: 1.0 };
+        let regions =
+            |rs: Vec<RegionSpec>| WorkloadSpec { data: DataSpec::Regions(rs), ..sample_spec() };
+        let chase = |size_kb| WorkloadSpec {
+            data: DataSpec::Chase(ChaseSpec { base: 0x4000_0000, size_kb, p_restart: 0.0 }),
+            ..sample_spec()
+        };
+        let stream = StreamSpec { base: 0x7000_0000, size_kb: huge, stride_bytes: 8 };
+        let code = |f: fn(&mut CodeSpec)| {
+            let mut spec = sample_spec();
+            f(&mut spec.code);
+            spec
+        };
+        let cases = [
+            (regions(vec![region(0, huge, 1.0)]), "region size_kb"),
+            (regions(vec![region(0, 0, 1.0)]), "region size_kb"),
+            (regions(vec![region(u64::MAX - 1023, 2, 1.0)]), "address space"),
+            (regions(vec![region(0, 8, 0.0)]), "region weight"),
+            (regions(vec![region(0, 8, -1.0), region(0, 8, 2.0)]), "region weight"),
+            (regions(vec![region(0, 8, f64::MAX), region(0, 8, f64::MAX)]), "region weight"),
+            (
+                WorkloadSpec { data: DataSpec::Stream(vec![stream]), ..sample_spec() },
+                "stream size_kb",
+            ),
+            (chase(MAX_CHASE_KB + 1), "chase size_kb"),
+            (chase(134_217_728), "chase size_kb"),
+            (chase(0), "chase size_kb"),
+            (code(|c| c.footprint_kb = 1 << 54), "code footprint_kb"),
+            (code(|c| c.n_sites = MAX_SITES + 1), "code n_sites"),
+            (code(|c| c.n_sites = 0), "code n_sites"),
+            (code(|c| c.zipf_theta = -2000.0), "zipf_theta"),
+        ];
+        for (spec, field) in cases {
+            match spec.build() {
+                Err(SpecError::Invalid(msg)) => assert!(msg.contains(field), "{msg:?} vs {field}"),
+                other => {
+                    panic!("{field}: expected SpecError::Invalid, got {:?}", other.map(|_| ()))
+                }
+            }
+        }
+        let mut spec = sample_spec();
+        if let DataSpec::Mixture(entries) = &mut spec.data {
+            entries.iter_mut().for_each(|e| e.weight = 0.0);
+        }
+        assert!(matches!(spec.build(), Err(SpecError::Invalid(m)) if m.contains("mixture weight")));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use tlc_cache::filter::MissStream;
 use tlc_cache::filter_family::L2Family;
 use tlc_cache::{
     naive_replay_conventional, naive_replay_exclusive, Associativity, CacheConfig, L1FrontEnd,
-    MemorySystem, ReplacementKind,
+    MemorySystem, ReplacementKind, ReuseProfile,
 };
 use tlc_core::experiment::{
     capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_family, DesignPoint,
@@ -25,7 +25,9 @@ use tlc_core::runner::{try_sweep_arena_threads, try_sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::{AccessKind, Addr, LineAddr, MemRef, MissEvent, TraceArena, VictimLine};
+use tlc_trace::{
+    AccessKind, Addr, EventArena, LineAddr, MemRef, MissEvent, TraceArena, VictimLine,
+};
 
 const BUDGET: SimBudget = SimBudget { instructions: 12_000, warmup_instructions: 3_000 };
 
@@ -90,6 +92,51 @@ fn chunk_size_does_not_change_results() {
             let got = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
             assert_eq!(&got, want, "chunk_len={chunk_len} changed {}", cfg.label());
         }
+    }
+}
+
+/// Event-stream chunking is an allocation detail too: re-chunking one
+/// captured miss stream — down to one event per chunk, with a chunk that
+/// ends exactly at the warm-up boundary, and with the boundary inside a
+/// chunk — must not change a family statistic or a prediction.
+#[test]
+fn event_chunk_size_does_not_change_family_stats_or_predictions() {
+    let arena = capture_benchmark(SpecBenchmark::Gcc1, BUDGET);
+    let stream = capture_miss_stream(4096, 16, &arena, BUDGET, usize::MAX)
+        .expect("unbounded capture succeeds");
+    let warm = stream.warmup_events() as usize;
+    assert!(warm > 1 && (warm as u64) < stream.len(), "boundary inside the stream");
+    let l2 = |kb: u64, assoc| {
+        CacheConfig::new(kb * 1024, 16, assoc, ReplacementKind::PseudoRandom).expect("valid L2")
+    };
+    let set_assoc = [8, 16, 64].map(|kb| l2(kb, Associativity::SetAssoc(4)));
+    let direct = [8, 64].map(|kb| l2(kb, Associativity::Direct));
+    let dm_sets = direct.map(|c| c.num_sets());
+    let outcome = |s: &MissStream| {
+        let mut stats = L2Family::single(s).replay(s);
+        stats.extend(L2Family::conventional(&set_assoc, s).replay(s));
+        stats.extend(L2Family::conventional(&direct, s).replay(s));
+        stats.extend(L2Family::exclusive(&set_assoc, s).replay(s));
+        stats.extend(L2Family::exclusive(&direct, s).replay(s));
+        let profile = ReuseProfile::capture(s, &dm_sets);
+        stats.push(profile.predict_single(s));
+        stats.extend(set_assoc.iter().chain(&direct).map(|c| profile.predict_conventional(s, c)));
+        stats
+    };
+    let want = outcome(&stream);
+    assert!(want.iter().all(|st| st.l2_misses > 0), "every member measured something");
+    for chunk_len in [1, 2, 7, warm - 1, warm, warm + 1, 1 << 16] {
+        let mut events = EventArena::with_chunk_len(chunk_len);
+        stream.events().for_each(|e| events.push(e));
+        let rechunked = MissStream::from_parts(
+            stream.name(),
+            events,
+            stream.warmup_events(),
+            *stream.l1_stats(),
+            stream.l1_size_bytes(),
+            stream.line_bytes(),
+        );
+        assert_eq!(outcome(&rechunked), want, "chunk_len={chunk_len}");
     }
 }
 

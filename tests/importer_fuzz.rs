@@ -6,7 +6,8 @@
 //! input is then truncated, bit-flipped and spliced a fixed number of
 //! times from a fixed seed, and every mutant is fed to the auto-detecting
 //! importer, the compact reader, the event-trace reader and the spec-file
-//! parser. Each call must return `Ok` or a typed error; a panic fails the
+//! parser (and every spec that parses is built). Each call must return
+//! `Ok` or a typed error; a panic fails the
 //! test with the input shrunk by `ddmin` to a minimal witness.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,7 +138,9 @@ fn parse_all(bytes: &[u8]) -> Result<(), &'static str> {
             let _ = read_event_trace(b);
         }),
         ("spec file", |b| {
-            let _ = WorkloadSpec::from_json(&String::from_utf8_lossy(b));
+            if let Ok(spec) = WorkloadSpec::from_json(&String::from_utf8_lossy(b)) {
+                let _ = spec.build();
+            }
         }),
     ];
     for (name, parse) in parsers {

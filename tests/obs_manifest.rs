@@ -49,6 +49,27 @@ fn capture() -> TraceArena {
     capture_benchmark(SpecBenchmark::Li, BUDGET)
 }
 
+/// A two-thread family sweep of [`mixed_space`] from a counter reset,
+/// and its collected, validated manifest.
+fn family_sweep_manifest() -> (RunManifest, Vec<MachineConfig>) {
+    let configs = mixed_space();
+    let (tm, am) = (TimingModel::paper(), AreaModel::new());
+    tlc_obs::reset();
+    try_sweep_family_arena_threads(&configs, &capture(), BUDGET, &tm, &am, 2)
+        .expect("family sweep succeeds");
+    let manifest = RunManifest::collect(RunMeta {
+        command: "sweep".to_string(),
+        benchmark: SpecBenchmark::Li.name().to_string(),
+        engine: "family".to_string(),
+        threads: 2,
+        configs: configs.len() as u64,
+        config_space_hash: "deadbeefdeadbeef".to_string(),
+        wall_s: 0.0,
+    });
+    manifest.validate().expect("manifest invariants hold");
+    (manifest, configs)
+}
+
 /// Snapshot of the simulation-measurement counters after a reset+sweep.
 fn measure(sweep: impl FnOnce()) -> [u64; Counter::COUNT] {
     tlc_obs::reset();
@@ -213,23 +234,7 @@ fn worker_panic_is_reported_as_structured_error() {
 #[test]
 fn collected_manifest_validates_and_round_trips() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let tm = TimingModel::paper();
-    let am = AreaModel::new();
-    let configs = mixed_space();
-    let arena = capture();
-    tlc_obs::reset();
-    try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 2)
-        .expect("family sweep succeeds");
-    let manifest = RunManifest::collect(RunMeta {
-        command: "sweep".to_string(),
-        benchmark: SpecBenchmark::Li.name().to_string(),
-        engine: "family".to_string(),
-        threads: 2,
-        configs: configs.len() as u64,
-        config_space_hash: "deadbeefdeadbeef".to_string(),
-        wall_s: 0.0,
-    });
-    manifest.validate().expect("manifest invariants hold");
+    let (manifest, configs) = family_sweep_manifest();
     if tlc_obs::ENABLED {
         assert_eq!(
             manifest.counter("runner.configs_completed"),
@@ -255,23 +260,7 @@ fn collected_manifest_validates_and_round_trips() {
 #[test]
 fn family_sweep_manifest_carries_distributions_and_memory() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let tm = TimingModel::paper();
-    let am = AreaModel::new();
-    let configs = mixed_space();
-    let arena = capture();
-    tlc_obs::reset();
-    try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 2)
-        .expect("family sweep succeeds");
-    let manifest = RunManifest::collect(RunMeta {
-        command: "sweep".to_string(),
-        benchmark: SpecBenchmark::Li.name().to_string(),
-        engine: "family".to_string(),
-        threads: 2,
-        configs: configs.len() as u64,
-        config_space_hash: "deadbeefdeadbeef".to_string(),
-        wall_s: 0.0,
-    });
-    manifest.validate().expect("manifest invariants hold");
+    let (manifest, _) = family_sweep_manifest();
     // The memory section reads procfs regardless of the probe feature.
     assert!(manifest.memory.peak_rss_bytes > 0, "peak RSS must be read from /proc/self/status");
     assert!(manifest.memory.current_rss_bytes <= manifest.memory.peak_rss_bytes);
